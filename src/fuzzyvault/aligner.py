@@ -8,7 +8,10 @@ least one shared basis frame no matter how the finger was shifted or
 rotated on the sensor.
 
 Tables are dense (no hash buckets): coordinates stay real-valued and all
-orientation comparisons are circular.
+orientation comparisons are circular.  The threshold kernel is sparse in
+its output: a vault point that matches gets its exact margin, every
+other point gets +inf, because callers only read which points match and
+in what order.
 """
 
 from __future__ import annotations
@@ -124,11 +127,12 @@ def match_margins(
     vault_basis: int,
     params: MatchParams,
 ) -> np.ndarray:
-    """Per-vault-point slack against the matching thresholds.
+    """Per-vault-point margin against the matching thresholds.
 
-    Entry j is min over probe minutiae of max(|dx| - x_thres,
-    |dy| - y_thres, circ(dtheta) - theta_thres) in the paired basis
-    frames; <= 0 means vault point j matches some probe minutia.
+    A vault point j matches when some probe minutia lies within all three
+    thresholds in the paired basis frames.  For a match, entry j is the
+    margin min over probe minutiae of max(|dx| - x_thres, |dy| - y_thres,
+    circ(dtheta) - theta_thres), which is <= 0; every other entry is +inf.
     """
     return match_margins_many(vault_table, probe_table, probe_basis, [vault_basis], params)[0]
 
@@ -140,14 +144,39 @@ def match_margins_many(
     vault_bases: Sequence[int],
     params: MatchParams,
 ) -> np.ndarray:
-    """match_margins for several vault bases at once; shape (len(bases), kv)."""
+    """match_margins for several vault bases at once; shape (len(bases), kv).
+
+    The x and y slacks of every (basis, probe, vault) triple are tested
+    densely in one reused buffer; the full slack, theta included, is then
+    computed only for the few triples within both, with the same float64
+    operations a dense evaluation would use.  A triple outside x or y has
+    a positive slack and cannot lower a margin <= 0, so every matching
+    margin is exact.
+    """
     P = probe_table.coords[probe_basis]  # (kp, 3)
     V = vault_table.coords[np.asarray(vault_bases, dtype=int)]  # (m, kv, 3)
-    dx = np.abs(V[:, None, :, 0] - P[None, :, None, 0]) - params.x_thres
-    dy = np.abs(V[:, None, :, 1] - P[None, :, None, 1]) - params.y_thres
-    dt = np.abs(V[:, None, :, 2] - P[None, :, None, 2]) % 360.0
+    m, kv = V.shape[:2]
+    shape = (m, len(P), kv)
+    slack = np.empty(shape)
+    mask = np.empty(shape, dtype=bool)
+    within = np.empty(shape, dtype=bool)
+    for axis, thres, out in ((0, params.x_thres, mask), (1, params.y_thres, within)):
+        np.subtract(V[:, None, :, axis], P[None, :, None, axis], out=slack)
+        np.abs(slack, out=slack)
+        slack -= thres
+        np.less_equal(slack, 0.0, out=out)
+    mask &= within
+    b, p, v = np.unravel_index(np.flatnonzero(mask), shape)
+    Vs, Ps = V[b, v], P[p]
+    dx = np.abs(Vs[:, 0] - Ps[:, 0]) - params.x_thres
+    dy = np.abs(Vs[:, 1] - Ps[:, 1]) - params.y_thres
+    dt = np.abs(Vs[:, 2] - Ps[:, 2]) % 360.0
     dt = np.minimum(dt, 360.0 - dt) - params.theta_thres
-    return np.maximum(np.maximum(dx, dy), dt).min(axis=1)
+    s = np.maximum(np.maximum(dx, dy), dt)
+    hit = s <= 0.0
+    margins = np.full((m, kv), np.inf)
+    np.minimum.at(margins, (b[hit], v[hit]), s[hit])
+    return margins
 
 
 def collect_candidates(

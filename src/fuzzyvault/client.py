@@ -97,19 +97,21 @@ def verify(
     """True if any vault enrolled under user_id unlocks with this probe.
 
     The probe file is deleted once a decision is reached, accept or
-    reject.  If the store cannot be reached there is no decision and the
-    probe is kept.  Raises UnknownUser when the id has no vaults.
+    reject.  If the store cannot be reached, or a stored vault does not
+    fit params (DocumentInvalid), there is no decision and the probe is
+    kept.  Raises UnknownUser when the id has no vaults.
     """
     if rng is None:
         rng = random.Random()
     probe_path = Path(probe_path)
     probe = read_template(probe_path, params.width, params.height)
     docs = _get_vaults(server_url, user_id)  # probe survives a store outage
+    # a vault for another configuration is no decision either
+    vaults = [vault_from_document(doc, params) for doc in docs]
     try:
-        if not docs:
+        if not vaults:
             raise UnknownUser(f"no vaults enrolled for user id {user_id!r}")
-        for doc in docs:
-            vault = vault_from_document(doc, params)
+        for vault in vaults:
             if decode_vault(vault, probe, match_params, strategy, rng).matched:
                 return True
         return False

@@ -23,6 +23,8 @@ from urllib.parse import parse_qs, urlparse
 from .store import DocumentInvalid, StorageUnavailable, document_from_dict, document_to_dict
 
 _MAX_BODY = 8 << 20  # bytes; a vault document is a few KB
+# Seconds between shutdown checks in serve_forever; bounds how long stop() blocks.
+_POLL_INTERVAL = 0.05
 
 
 class VaultStoreService:
@@ -43,17 +45,18 @@ class VaultStoreService:
                 pass
 
             def _reply(self, status: int, payload: dict, logged: dict | None = None):
+                # log first: once the body is written the client may read the log
+                if service.wire_log is not None:
+                    entry = dict(logged or {})
+                    entry["status"] = status
+                    entry["response"] = payload
+                    service.wire_log.append(entry)
                 body = json.dumps(payload).encode()
                 self.send_response(status)
                 self.send_header("Content-Type", "application/json")
                 self.send_header("Content-Length", str(len(body)))
                 self.end_headers()
                 self.wfile.write(body)
-                if service.wire_log is not None:
-                    entry = dict(logged or {})
-                    entry["status"] = status
-                    entry["response"] = payload
-                    service.wire_log.append(entry)
 
             def do_GET(self):
                 url = urlparse(self.path)
@@ -87,9 +90,12 @@ class VaultStoreService:
                 if url.path != "/vaults":
                     self._reply(404, {"error": "unknown path"}, logged)
                     return
-                length = int(self.headers.get("Content-Length") or 0)
+                try:
+                    length = int(self.headers.get("Content-Length") or 0)
+                except ValueError:
+                    length = 0
                 if length <= 0 or length > _MAX_BODY:
-                    self._reply(400, {"error": "missing or oversized body"}, logged)
+                    self._reply(400, {"error": "missing, malformed or oversized body"}, logged)
                     return
                 raw = self.rfile.read(length)
                 try:
@@ -118,7 +124,9 @@ class VaultStoreService:
         return f"http://{host}:{port}"
 
     def start(self):
-        self._thread = threading.Thread(target=self._server.serve_forever, daemon=True)
+        self._thread = threading.Thread(
+            target=self._server.serve_forever, args=(_POLL_INTERVAL,), daemon=True
+        )
         self._thread.start()
         return self
 
@@ -130,7 +138,7 @@ class VaultStoreService:
             self._thread = None
 
     def serve_forever(self):
-        self._server.serve_forever()
+        self._server.serve_forever(_POLL_INTERVAL)
 
     def __enter__(self):
         return self.start()

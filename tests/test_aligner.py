@@ -5,7 +5,9 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from aligner_oracle import dense_match_margins_many
 from fuzzyvault.aligner import (
     GeometricTable,
     MatchParams,
@@ -184,3 +186,36 @@ def test_match_margins_many_agrees_with_single():
     for row, vb in enumerate([0, 3, 7]):
         single = match_margins(vt, ptab, 2, vb, params)
         assert np.array_equal(many[row], single)
+
+
+# Angles cluster at the wrap-around and at the vault's 360/1024 quantum.
+_angles = st.one_of(
+    st.floats(0.0, 360.0, exclude_max=True),
+    st.sampled_from([0.0, 1e-9, 360.0 / 1024, 180.0, 359.648, 360.0 - 1e-9]),
+)
+_minutiae = st.builds(Minutia, st.integers(0, 2047), st.integers(0, 2047), _angles)
+# Zero, pixel-scale, and larger than any image.
+_thres = st.one_of(st.sampled_from([0.0, 0.5, 12.0, 15.0, 4096.0]), st.floats(0.0, 3000.0))
+_theta_thres = st.one_of(st.sampled_from([0.0, 12.0, 179.9]),
+                         st.floats(0.0, 180.0, exclude_max=True))
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    vault_ms=st.lists(_minutiae, min_size=1, max_size=60),
+    probe=st.one_of(st.none(), st.lists(_minutiae, min_size=1, max_size=30)),
+    params=st.builds(MatchParams, _thres, _thres, _theta_thres, st.just(360.0)),
+    data=st.data(),
+)
+def test_match_margins_many_agrees_with_dense_oracle(vault_ms, probe, params, data):
+    probe_ms = vault_ms[:30] if probe is None else probe  # None: identical minutiae
+    vt = build_geometric_table(vault_ms)
+    ptab = build_geometric_table(probe_ms)
+    probe_basis = data.draw(st.integers(0, len(probe_ms) - 1), label="probe_basis")
+    bases = list(range(len(vault_ms)))
+    got = match_margins_many(vt, ptab, probe_basis, bases, params)
+    expect = dense_match_margins_many(vt, ptab, probe_basis, bases, params)
+    match = expect <= 0.0
+    assert np.array_equal(got <= 0.0, match)
+    assert np.array_equal(got[match], expect[match])
+    assert np.all(np.isposinf(got[~match]))

@@ -1,10 +1,13 @@
 """Subset strategies, CRC unlocking and whole-vault decoding."""
 
+import dataclasses
 import itertools
 import random
 
 import pytest
 
+from aligner_oracle import dense_match_margins_many
+from fuzzyvault import decoder
 from fuzzyvault.aligner import MatchParams
 from fuzzyvault.decoder import (
     ArityError,
@@ -183,3 +186,24 @@ def test_decode_respects_iteration_cap():
     strategy = SubsetStrategy(RANDOM_SELECTION, iteration_cap=1)
     res = decode_vault(vault, t, CONFIG1.match_params(), strategy, rng)
     assert res.interpolations_performed <= res.candidate_sets_evaluated
+
+
+@pytest.mark.parametrize("name", ["fvc-1", "fvc-4"])
+def test_decode_same_result_with_dense_kernel_oracle(name, monkeypatch):
+    """Candidate sets, their order and so every counter and secret are unchanged."""
+    cfg = BUILTIN_CONFIGS[name]
+    t = synth_template(400 + cfg.degree, 60)
+    vault, secret = encode_vault(t, cfg.vault_params(), random.Random(401))
+    genuine = perturb_template(t, rotation=6.0, translation=(4.0, -3.0), jitter=3.0,
+                               theta_jitter=4.0, drop_fraction=0.1, rng=random.Random(402))
+    impostor = synth_template(403 + cfg.degree, 60)
+
+    def run(probe):
+        res = decode_vault(vault, probe, cfg.match_params(), DEFAULT_STRATEGY, random.Random(404))
+        return dataclasses.replace(res, elapsed_seconds=0.0)
+
+    fast = [run(genuine), run(impostor)]
+    monkeypatch.setattr(decoder, "match_margins_many", dense_match_margins_many)
+    assert [run(genuine), run(impostor)] == fast
+    assert fast[0].matched and fast[0].secret == secret
+    assert not fast[1].matched and fast[1].bases_tried > 0

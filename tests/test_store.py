@@ -1,8 +1,11 @@
 """Vault documents, both store backends, the HTTP service and the client."""
 
+import http.client
 import json
 import random
 import threading
+import time
+from urllib.parse import urlparse
 
 import pytest
 import requests
@@ -254,6 +257,37 @@ def test_service_unknown_path_and_missing_query(service):
     assert requests.get(f"{svc.url}/vaults", timeout=5).status_code == 400
 
 
+@pytest.mark.parametrize("length", ["abc", "-5"])
+def test_service_rejects_malformed_content_length(service, length):
+    svc, wire = service
+    url = urlparse(svc.url)
+    conn = http.client.HTTPConnection(url.hostname, url.port, timeout=5)
+    try:
+        conn.putrequest("POST", "/vaults")
+        conn.putheader("Content-Type", "application/json")
+        conn.putheader("Content-Length", length)
+        conn.endheaders(b"{}")
+        resp = conn.getresponse()
+        assert resp.status == 400
+        assert set(json.loads(resp.read())) == {"error"}
+    finally:
+        conn.close()
+    assert (wire[-1]["method"], wire[-1]["status"]) == ("POST", 400)
+
+
+def test_service_stop_is_prompt():
+    # serve_forever only notices shutdown between polls, so a long poll
+    # interval would show here as up to that long per stop
+    elapsed = 0.0
+    for _ in range(5):
+        svc = VaultStoreService(MemoryVaultStore(), port=0).start()
+        assert requests.get(f"{svc.url}/health", timeout=5).status_code == 200
+        t0 = time.perf_counter()
+        svc.stop()
+        elapsed += time.perf_counter() - t0
+    assert elapsed < 0.5
+
+
 # --- client flows ---
 
 @pytest.fixture
@@ -303,6 +337,20 @@ def test_client_unknown_user(tmp_path, live):
         verify(probe_path, "never-enrolled", live.url, small_params(),
                MatchParams(12, 12, 12, 15), ITERATIVE, random.Random(81))
     assert not probe_path.exists()  # unknown user is still a decision
+
+
+def test_client_keeps_probe_when_vault_config_mismatches(tmp_path, live):
+    enroll_path = tmp_path / "enroll.xyt"
+    write_template(enroll_path, synth_template(91, 40))
+    enroll(enroll_path, "gina", live.url, small_params(), random.Random(92))
+
+    probe_path = tmp_path / "probe.xyt"
+    write_template(probe_path, synth_template(91, 40))
+    other = VaultParams(3, 4, 4, 10.0, 400, 560)  # wrong degree and point count
+    with pytest.raises(DocumentInvalid):
+        verify(probe_path, "gina", live.url, other,
+               MatchParams(12, 12, 12, 15), ITERATIVE, random.Random(93))
+    assert probe_path.exists()  # no decision was reached
 
 
 def test_client_keeps_files_when_store_unreachable(tmp_path):
