@@ -7,18 +7,23 @@ pointing along +x, and two captures of the same finger then agree in at
 least one shared basis frame no matter how the finger was shifted or
 rotated on the sensor.
 
-Tables are dense (no hash buckets): coordinates stay real-valued and all
-orientation comparisons are circular.  The threshold kernel is sparse in
-its output: a vault point that matches gets its exact margin, every
-other point gets +inf, because callers only read which points match and
-in what order.
+Tables have no hash buckets: coordinates stay real-valued and all
+orientation comparisons are circular.  A table builds the row of a basis
+frame the first time a match asks for it and keeps it, so a genuine
+probe that unlocks after a few dozen vault bases never pays for the
+rest.  Every row is bit-identical to building the whole table at once,
+because the trigonometry of all basis angles is computed once per table
+(numpy's vectorized cos/sin may round an element differently depending
+on its position in the array).  The threshold kernel is sparse in its
+output: a vault point that matches gets its exact margin, every other
+point gets +inf, because callers only read which points match and in
+what order.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -67,13 +72,16 @@ def rigid_transform(basis: Minutia, m: Minutia, origin_index: int = 0) -> Transf
 
 
 class GeometricTable:
-    """All basis-relative views of a minutia list.
+    """All basis-relative views of a minutia list, built row by row on demand.
 
     Row i holds every minutia transformed into the frame of basis i, so
-    ``entries[i][i]`` is always the exact zero transform.  The raw
-    coordinates live in ``coords`` (shape k x k x 3, last axis x/y/theta)
-    for bulk threshold work; ``entries`` materializes TransformedMinutia
-    objects on demand.
+    ``rows([i])[0, i]`` is always the exact zero transform; the last axis
+    is x/y/theta.  ``rows`` computes a row the first time it is asked
+    for, with the same float64 operations as a whole-table build, and
+    keeps it for later calls.  Rows are bit-identical to that build
+    because cos/sin of all basis angles are computed once, here, and
+    indexed per row.  ``thetas`` (the basis angles) is available
+    without building any row.
     """
 
     def __init__(self, sources: Iterable[Minutia]):
@@ -81,33 +89,41 @@ class GeometricTable:
         k = len(self.sources)
         if k == 0:
             raise ValueError("at least one minutia required")
-        xs = np.array([m.x for m in self.sources], dtype=float)
-        ys = np.array([m.y for m in self.sources], dtype=float)
-        thetas = np.array([m.theta for m in self.sources], dtype=float)
-        dx = xs[None, :] - xs[:, None]
-        dy = ys[None, :] - ys[:, None]
-        b = np.radians(thetas)[:, None]
-        cb, sb = np.cos(b), np.sin(b)
-        coords = np.empty((k, k, 3))
-        coords[..., 0] = cb * dx + sb * dy
-        coords[..., 1] = -sb * dx + cb * dy
-        coords[..., 2] = (thetas[None, :] - thetas[:, None]) % 360.0
-        coords.setflags(write=False)
-        self.coords = coords
-        self.thetas = thetas
+        self._xs = np.array([m.x for m in self.sources], dtype=float)
+        self._ys = np.array([m.y for m in self.sources], dtype=float)
+        self.thetas = np.array([m.theta for m in self.sources], dtype=float)
+        b = np.radians(self.thetas)
+        self._cos, self._sin = np.cos(b), np.sin(b)
+        self._rows = np.empty((k, k, 3))
+        self._built = np.zeros(k, dtype=bool)
 
     def __len__(self) -> int:
         return len(self.sources)
 
+    def rows(self, bases: Sequence[int]) -> np.ndarray:
+        """The rows of the given bases, shape (len(bases), k, 3); a copy."""
+        idx = np.asarray(bases, dtype=int)
+        todo = idx[~self._built[idx]]
+        if todo.size:
+            dx = self._xs[None, :] - self._xs[todo, None]
+            dy = self._ys[None, :] - self._ys[todo, None]
+            cb, sb = self._cos[todo, None], self._sin[todo, None]
+            self._rows[todo, :, 0] = cb * dx + sb * dy
+            self._rows[todo, :, 1] = -sb * dx + cb * dy
+            self._rows[todo, :, 2] = (self.thetas[None, :] - self.thetas[todo, None]) % 360.0
+            self._built[todo] = True
+        return self._rows[idx]
+
+    @property
+    def coords(self) -> np.ndarray:
+        """The whole table, shape (k, k, 3)."""
+        return self.rows(np.arange(len(self)))
+
     def row(self, i: int) -> list[TransformedMinutia]:
         return [
             TransformedMinutia(float(x), float(y), float(t), j)
-            for j, (x, y, t) in enumerate(self.coords[i])
+            for j, (x, y, t) in enumerate(self.rows([i])[0])
         ]
-
-    @cached_property
-    def entries(self) -> tuple[tuple[TransformedMinutia, ...], ...]:
-        return tuple(tuple(self.row(i)) for i in range(len(self)))
 
 
 def build_geometric_table(minutiae: Iterable[Minutia]) -> GeometricTable:
@@ -153,8 +169,8 @@ def match_margins_many(
     a positive slack and cannot lower a margin <= 0, so every matching
     margin is exact.
     """
-    P = probe_table.coords[probe_basis]  # (kp, 3)
-    V = vault_table.coords[np.asarray(vault_bases, dtype=int)]  # (m, kv, 3)
+    P = probe_table.rows([probe_basis])[0]  # (kp, 3)
+    V = vault_table.rows(vault_bases)  # (m, kv, 3)
     m, kv = V.shape[:2]
     shape = (m, len(P), kv)
     slack = np.empty(shape)

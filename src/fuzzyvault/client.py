@@ -97,9 +97,10 @@ def verify(
     """True if any vault enrolled under user_id unlocks with this probe.
 
     The probe file is deleted once a decision is reached, accept or
-    reject.  If the store cannot be reached, or a stored vault does not
-    fit params (DocumentInvalid), there is no decision and the probe is
-    kept.  Raises UnknownUser when the id has no vaults.
+    reject.  If the store cannot be reached or holds a corrupt vault file
+    (StorageUnavailable), or a stored vault does not fit params
+    (DocumentInvalid), there is no decision and the probe is kept.
+    Raises UnknownUser when the id has no vaults.
     """
     if rng is None:
         rng = random.Random()

@@ -7,10 +7,11 @@ Endpoints:
   and the assigned object id
 * ``GET /vaults?user_id=...`` every vault stored for that user
 
-Schema violations return 400 and storage faults 503.  The server is a
-stdlib ThreadingHTTPServer; it exists so the client code and the tests
-can exercise the real wire format, not to be an internet-facing
-deployment.
+Schema violations in a request return 400.  Storage faults return 503,
+and so does a stored vault file that is corrupt or breaks the schema:
+the request was fine, the store is not.  The server is a stdlib
+ThreadingHTTPServer; it exists so the client code and the tests can
+exercise the real wire format, not to be an internet-facing deployment.
 """
 
 from __future__ import annotations

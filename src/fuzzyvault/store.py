@@ -17,10 +17,9 @@ import uuid
 from dataclasses import dataclass
 from pathlib import Path
 
-from .vault import Vault, VaultParams, VaultPoint
+from .vault import Vault, VaultParams, VaultPoint, check_point_pairs
 
 _USER_ID_RE = re.compile(r"^[A-Za-z0-9._-]{1,64}$")
-_WORD_LIMIT = 1 << 32
 
 
 class DocumentInvalid(ValueError):
@@ -98,18 +97,12 @@ def validate_document_dict(data, require_id: bool) -> None:
     if not isinstance(n, int) or isinstance(n, bool) or n < 1:
         raise DocumentInvalid("n must be an integer >= 1")
     points = data["points"]
-    if not isinstance(points, list):
-        raise DocumentInvalid("points must be a list")
+    try:
+        check_point_pairs(points)
+    except ValueError as exc:
+        raise DocumentInvalid(str(exc)) from None
     if len(points) < n + 1:
         raise DocumentInvalid(f"need at least {n + 1} points for degree {n}")
-    for i, entry in enumerate(points):
-        if not isinstance(entry, list) or len(entry) != 2:
-            raise DocumentInvalid(f"points[{i}] must be a [X, Y] pair")
-        for coord in entry:
-            if not isinstance(coord, int) or isinstance(coord, bool):
-                raise DocumentInvalid(f"points[{i}] coordinates must be integers")
-            if not 0 <= coord < _WORD_LIMIT:
-                raise DocumentInvalid(f"points[{i}] coordinates must fit in 32 bits")
 
 
 def document_from_dict(data, require_id: bool = True) -> VaultDocument:
@@ -200,6 +193,8 @@ class FileVaultStore:
                     docs.append(document_from_dict(data, require_id=True))
             except OSError as exc:
                 raise StorageUnavailable(f"cannot read vaults: {exc}") from exc
-            except json.JSONDecodeError as exc:
-                raise DocumentInvalid(f"corrupt vault file: {exc}") from exc
+            except ValueError as exc:
+                # bad JSON, bad encoding or a schema violation: the request
+                # was fine, the store is not, so this is no client fault
+                raise StorageUnavailable(f"corrupt vault file: {exc}") from exc
         return docs

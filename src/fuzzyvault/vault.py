@@ -20,6 +20,7 @@ from . import gf32
 from .minutiae import InsufficientMinutiae, Minutia, Template, encode_minutia, select_minutiae
 
 WORD_BITS = 32
+_WORD_LIMIT = 1 << WORD_BITS
 WORD_BYTES = 4
 
 # Rejection-sampling attempts per chaff point before giving up.
@@ -196,6 +197,28 @@ def genuine_indices(vault: Vault, secret: bytes) -> tuple[int, ...]:
     return tuple(i for i, pt in enumerate(vault.points) if gf32.poly_eval(coeffs, pt.X) == pt.Y)
 
 
+def check_point_pairs(pairs) -> None:
+    """Require a JSON list of [X, Y] vault point pairs.
+
+    The one point rule of every vault format, local file or stored
+    document: X and Y are integers in [0, 2^32).  Nothing is coerced, and
+    bool is refused although Python counts it as an integer.
+
+    Raises:
+        ValueError: names the first entry that breaks the rule.
+    """
+    if not isinstance(pairs, list):
+        raise ValueError("points must be a list")
+    for i, entry in enumerate(pairs):
+        if not isinstance(entry, list) or len(entry) != 2:
+            raise ValueError(f"points[{i}] must be a [X, Y] pair")
+        for coord in entry:
+            if not isinstance(coord, int) or isinstance(coord, bool):
+                raise ValueError(f"points[{i}] coordinates must be integers")
+            if not 0 <= coord < _WORD_LIMIT:
+                raise ValueError(f"points[{i}] coordinates must fit in {WORD_BITS} bits")
+
+
 def vault_to_dict(vault: Vault) -> dict:
     """JSON-ready form of a vault for local files; carries its parameters."""
     p = vault.params
@@ -213,6 +236,12 @@ def vault_to_dict(vault: Vault) -> dict:
 
 
 def vault_from_dict(data: dict) -> Vault:
+    """Inverse of vault_to_dict; points follow check_point_pairs, uncoerced.
+
+    Raises:
+        ValueError: the document is malformed or its point count does not
+            match its parameters.
+    """
     try:
         raw = data["params"]
         params = VaultParams(
@@ -223,7 +252,8 @@ def vault_from_dict(data: dict) -> Vault:
             width=raw["width"],
             height=raw["height"],
         )
-        points = tuple(VaultPoint(int(x), int(y)) for x, y in data["points"])
+        check_point_pairs(data["points"])
+        points = tuple(VaultPoint(x, y) for x, y in data["points"])
     except (KeyError, TypeError, ValueError) as exc:
         raise ValueError(f"malformed vault document: {exc}") from exc
     if len(points) != params.vault_size:

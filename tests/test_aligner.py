@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from aligner_oracle import dense_match_margins_many
+from aligner_oracle import EagerGeometricTable, dense_match_margins_many
 from fuzzyvault.aligner import (
     GeometricTable,
     MatchParams,
@@ -219,3 +219,23 @@ def test_match_margins_many_agrees_with_dense_oracle(vault_ms, probe, params, da
     assert np.array_equal(got <= 0.0, match)
     assert np.array_equal(got[match], expect[match])
     assert np.all(np.isposinf(got[~match]))
+
+
+@settings(max_examples=200, deadline=None)
+@given(ms=st.lists(_minutiae, min_size=1, max_size=60), data=st.data())
+def test_rows_built_on_demand_agree_with_eager_oracle(ms, data):
+    k = len(ms)
+    table = build_geometric_table(ms)
+    expect = EagerGeometricTable(ms).coords
+    calls = data.draw(st.lists(st.lists(st.integers(0, k - 1), min_size=1, max_size=2 * k),
+                               min_size=1, max_size=6), label="calls")
+    requested = set()
+    for bases in calls:  # any order, repeats within and across calls
+        got = table.rows(bases)
+        assert got.shape == (len(bases), k, 3)
+        assert np.array_equal(got, expect[bases])
+        for row, b in enumerate(bases):
+            assert np.all(got[row, b] == 0.0)  # exact zero transform on the diagonal
+        requested.update(bases)
+        assert int(table._built.sum()) == len(requested)  # nothing built unasked
+    assert np.array_equal(table.coords, expect)

@@ -87,6 +87,22 @@ def test_verify_non_match_exits_one(runner, tmp_path):
     assert result.exit_code == 1
 
 
+def test_verify_malformed_vault_file_exits_two(runner, tmp_path):
+    template_path = tmp_path / "f.xyt"
+    write_template(template_path, synth_template(904, 60))
+    vault_path = tmp_path / "vault.json"
+    runner.invoke(main, ["encode", "--template", str(template_path),
+                         "--out", str(vault_path), "--seed", "5"])
+    data = json.loads(vault_path.read_text())
+    data["points"][0] = ["7", "8"]  # strings are not coerced
+    vault_path.write_text(json.dumps(data))
+    result = runner.invoke(main, ["verify", "--vault", str(vault_path),
+                                  "--probe", str(template_path)])
+    assert result.exit_code == 2
+    assert result.stderr.startswith("error: ") and "points[0]" in result.stderr
+    assert "Traceback" not in result.output
+
+
 def test_encode_error_exits_two(runner, tmp_path):
     template_path = tmp_path / "thin.xyt"
     write_template(template_path, synth_template(903, 10))  # too few minutiae

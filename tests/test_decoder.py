@@ -6,7 +6,7 @@ import random
 
 import pytest
 
-from aligner_oracle import dense_match_margins_many
+from aligner_oracle import EagerGeometricTable, dense_match_margins_many
 from fuzzyvault import decoder
 from fuzzyvault.aligner import MatchParams
 from fuzzyvault.decoder import (
@@ -190,7 +190,10 @@ def test_decode_respects_iteration_cap():
 
 @pytest.mark.parametrize("name", ["fvc-1", "fvc-4"])
 def test_decode_same_result_with_dense_kernel_oracle(name, monkeypatch):
-    """Candidate sets, their order and so every counter and secret are unchanged."""
+    """Candidate sets, their order and so every counter and secret are unchanged.
+
+    Checked against the dense kernel, the eagerly built table, and both.
+    """
     cfg = BUILTIN_CONFIGS[name]
     t = synth_template(400 + cfg.degree, 60)
     vault, secret = encode_vault(t, cfg.vault_params(), random.Random(401))
@@ -203,7 +206,12 @@ def test_decode_same_result_with_dense_kernel_oracle(name, monkeypatch):
         return dataclasses.replace(res, elapsed_seconds=0.0)
 
     fast = [run(genuine), run(impostor)]
-    monkeypatch.setattr(decoder, "match_margins_many", dense_match_margins_many)
-    assert [run(genuine), run(impostor)] == fast
+    table = ("build_geometric_table", EagerGeometricTable)
+    kernel = ("match_margins_many", dense_match_margins_many)
+    for swaps in ([kernel], [table], [table, kernel]):
+        with monkeypatch.context() as m:
+            for attr, oracle in swaps:
+                m.setattr(decoder, attr, oracle)
+            assert [run(genuine), run(impostor)] == fast
     assert fast[0].matched and fast[0].secret == secret
     assert not fast[1].matched and fast[1].bases_tried > 0

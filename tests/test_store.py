@@ -169,13 +169,22 @@ def test_file_store_skips_dotfiles(tmp_path):
     assert len(store.fetch("bob")) == 1
 
 
+# A stored file that is not JSON, and one that is JSON but breaks the schema.
+_CORRUPT_FILES = [
+    "{ not json",
+    json.dumps({"id": "x", "user_id": "bob", "n": 2, "points": [[1.9, True]]}),
+]
+
+
 def test_file_store_corrupt_document(tmp_path):
+    # the request was fine and the store is not: a server fault, not DocumentInvalid
     root = tmp_path / "vaults"
     store = FileVaultStore(root)
     object_id = store.put(make_doc(user_id="bob"))
-    (root / "bob" / f"{object_id}.json").write_text("{ not json")
-    with pytest.raises(DocumentInvalid):
-        store.fetch("bob")
+    for content in _CORRUPT_FILES:
+        (root / "bob" / f"{object_id}.json").write_text(content)
+        with pytest.raises(StorageUnavailable, match="corrupt vault file"):
+            store.fetch("bob")
 
 
 def test_file_store_unavailable_root(tmp_path):
@@ -350,6 +359,25 @@ def test_client_keeps_probe_when_vault_config_mismatches(tmp_path, live):
     with pytest.raises(DocumentInvalid):
         verify(probe_path, "gina", live.url, other,
                MatchParams(12, 12, 12, 15), ITERATIVE, random.Random(93))
+    assert probe_path.exists()  # no decision was reached
+
+
+@pytest.mark.parametrize("content", _CORRUPT_FILES, ids=["not-json", "schema"])
+def test_corrupt_stored_vault_is_503_and_keeps_probe(tmp_path, live, content):
+    enroll_path = tmp_path / "enroll.xyt"
+    write_template(enroll_path, synth_template(94, 40))
+    object_id, _ = enroll(enroll_path, "hana", live.url, small_params(), random.Random(95))
+    (tmp_path / "vaults" / "hana" / f"{object_id}.json").write_text(content)
+
+    resp = requests.get(f"{live.url}/vaults", params={"user_id": "hana"}, timeout=5)
+    assert resp.status_code == 503
+    assert set(resp.json()) == {"error"}
+
+    probe_path = tmp_path / "probe.xyt"
+    write_template(probe_path, synth_template(94, 40))
+    with pytest.raises(StorageUnavailable):
+        verify(probe_path, "hana", live.url, small_params(),
+               MatchParams(12, 12, 12, 15), ITERATIVE, random.Random(96))
     assert probe_path.exists()  # no decision was reached
 
 

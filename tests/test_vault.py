@@ -208,6 +208,17 @@ def test_vault_from_dict_rejects_wrong_point_count():
         vault_from_dict(data)
 
 
+@pytest.mark.parametrize("pair", [[-5, 2**40], ["7", "8"], [1.9, True]])
+def test_vault_from_dict_rejects_uncoerced_points(pair):
+    # same point rule as the stored-document schema: integers in [0, 2^32), no bool
+    rng = random.Random(18)
+    vault, _ = encode_vault(synth_template(70, 60), params(), rng)
+    data = vault_to_dict(vault)
+    data["points"][5] = pair
+    with pytest.raises(ValueError, match=r"points\[5\]"):
+        vault_from_dict(data)
+
+
 def test_params_validation():
     with pytest.raises(ValueError):
         VaultParams(0, 30, 300, 10.0, 400, 560)
