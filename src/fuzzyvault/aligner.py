@@ -7,17 +7,23 @@ pointing along +x, and two captures of the same finger then agree in at
 least one shared basis frame no matter how the finger was shifted or
 rotated on the sensor.
 
-Tables have no hash buckets: coordinates stay real-valued and all
-orientation comparisons are circular.  A table builds the row of a basis
-frame the first time a match asks for it and keeps it, so a genuine
-probe that unlocks after a few dozen vault bases never pays for the
-rest.  Every row is bit-identical to building the whole table at once,
-because the trigonometry of all basis angles is computed once per table
-(numpy's vectorized cos/sin may round an element differently depending
-on its position in the array).  The threshold kernel is sparse in its
-output: a vault point that matches gets its exact margin, every other
-point gets +inf, because callers only read which points match and in
-what order.
+Tables store real-valued coordinates and all orientation comparisons
+are circular.  A table builds the row of a basis frame the first time a
+match asks for it and keeps it, so a genuine probe that unlocks after a
+few dozen vault bases never pays for the rest.  Every row is
+bit-identical to building the whole table at once, because the
+trigonometry of all basis angles is computed once per table (numpy's
+vectorized cos/sin may round an element differently depending on its
+position in the array).
+
+The threshold kernel buckets only the probe side: per call it hashes the
+probe's one basis frame into a grid of cells at least a threshold plus a
+pixel wide, so each vault point looks up the few probe minutiae in its
+neighbourhood instead of being tested against all of them.  Buckets only
+choose which pairs to test; every tested pair gets the exact float64
+slack, so the output is the same as a dense evaluation's: a vault point
+that matches gets its exact margin, every other point gets +inf, because
+callers only read which points match and in what order.
 """
 
 from __future__ import annotations
@@ -31,6 +37,12 @@ import numpy as np
 from .minutiae import Minutia
 from .vault import VaultPoint
 
+# A probe-grid cell is at least the threshold plus this many pixels wide,
+# so a point within the threshold of a probe minutia is at most one cell away.
+_CELL_PAD = 1.0
+# Caps the probe grid at about this many cells per axis; without it a zero
+# threshold would give one cell per pixel of the probe's extent.
+_GRID_CELLS = 64
 
 @dataclass(frozen=True)
 class MatchParams:
@@ -41,7 +53,7 @@ class MatchParams:
 
     def __post_init__(self):
         for name in ("x_thres", "y_thres", "theta_thres", "theta_basis_thres"):
-            if getattr(self, name) < 0:
+            if not getattr(self, name) >= 0:  # NaN fails too
                 raise ValueError(f"{name} must be >= 0")
         if self.theta_thres >= 180:
             raise ValueError("theta_thres must be < 180 (circular distance caps there)")
@@ -162,37 +174,61 @@ def match_margins_many(
 ) -> np.ndarray:
     """match_margins for several vault bases at once; shape (len(bases), kv).
 
-    The x and y slacks of every (basis, probe, vault) triple are tested
-    densely in one reused buffer; the full slack, theta included, is then
-    computed only for the few triples within both, with the same float64
-    operations a dense evaluation would use.  A triple outside x or y has
-    a positive slack and cannot lower a margin <= 0, so every matching
-    margin is exact.
+    The probe basis frame is hashed once per call into a grid whose cell
+    edge on each axis is max(thres + _CELL_PAD, span / _GRID_CELLS),
+    span being the probe's extent on that axis.  Every probe minutia is
+    entered into its own cell and the eight around it, so each vault
+    point reads one cell to find the probe minutiae that may lie within
+    x_thres and y_thres of it; vault points outside the grid read an
+    extra, empty cell.  The full slack of those pairs is then computed
+    with the same float64 operations a dense evaluation would use.
+
+    The result is exact.  If |v - p| <= thres holds in float64, then
+    floor(v / edge) and floor(p / edge) differ by at most one, because
+    the edge exceeds the threshold by a pixel and rounding is about
+    1e-12 of a pixel, so every matching pair is among those tested and
+    every matching margin is the same minimum.  _GRID_CELLS only bounds
+    the grid when a threshold is near zero; any edge of at least
+    thres + _CELL_PAD gives the same margins.
     """
     P = probe_table.rows([probe_basis])[0]  # (kp, 3)
     V = vault_table.rows(vault_bases)  # (m, kv, 3)
     m, kv = V.shape[:2]
-    shape = (m, len(P), kv)
-    slack = np.empty(shape)
-    mask = np.empty(shape, dtype=bool)
-    within = np.empty(shape, dtype=bool)
-    for axis, thres, out in ((0, params.x_thres, mask), (1, params.y_thres, within)):
-        np.subtract(V[:, None, :, axis], P[None, :, None, axis], out=slack)
-        np.abs(slack, out=slack)
-        slack -= thres
-        np.less_equal(slack, 0.0, out=out)
-    mask &= within
-    b, p, v = np.unravel_index(np.flatnonzero(mask), shape)
-    Vs, Ps = V[b, v], P[p]
+    Vf = V.reshape(-1, 3)
+    # per axis, on a grid around the probe: probe cells, vault cells, cell count
+    cells = []
+    for axis, thres in ((0, params.x_thres), (1, params.y_thres)):
+        p = P[:, axis]
+        edge = max(thres + _CELL_PAD, (p.max() - p.min()) / _GRID_CELLS)
+        pc = np.floor(p / edge)
+        lo = pc.min() - 1.0  # one spare cell on each side
+        cells.append((pc - lo, np.floor(Vf[:, axis] / edge) - lo, pc.max() - lo + 2.0))
+    (px, vx, nx), (py, vy, ny) = cells
+    # CSR grid: each probe minutia in its own cell and the eight around it
+    near = np.array([-1.0, 0.0, 1.0])
+    probe_cells = (px[:, None] + near)[:, :, None] * ny + (py[:, None] + near)[:, None, :]
+    probe_cells = probe_cells.ravel().astype(np.intp)
+    members = np.repeat(np.arange(len(P)), 9)[np.argsort(probe_cells, kind="stable")]
+    counts = np.bincount(probe_cells, minlength=int(nx * ny) + 1)  # last cell: empty
+    starts = np.cumsum(counts) - counts
+    inside = (vx >= 0.0) & (vx < nx) & (vy >= 0.0) & (vy < ny)
+    cell = np.where(inside, vx * ny + vy, nx * ny).astype(np.intp)
+    # one (vault point, probe minutia) pair per cell member
+    per_point = counts[cell]
+    near_any = np.flatnonzero(per_point)
+    k = per_point[near_any]
+    f = np.repeat(near_any, k)
+    pos = np.arange(len(f)) + np.repeat(starts[cell[near_any]] - (np.cumsum(k) - k), k)
+    Vs, Ps = Vf[f], P[members[pos]]
     dx = np.abs(Vs[:, 0] - Ps[:, 0]) - params.x_thres
     dy = np.abs(Vs[:, 1] - Ps[:, 1]) - params.y_thres
     dt = np.abs(Vs[:, 2] - Ps[:, 2]) % 360.0
     dt = np.minimum(dt, 360.0 - dt) - params.theta_thres
     s = np.maximum(np.maximum(dx, dy), dt)
     hit = s <= 0.0
-    margins = np.full((m, kv), np.inf)
-    np.minimum.at(margins, (b[hit], v[hit]), s[hit])
-    return margins
+    margins = np.full(m * kv, np.inf)
+    np.minimum.at(margins, f[hit], s[hit])
+    return margins.reshape(m, kv)
 
 
 def collect_candidates(

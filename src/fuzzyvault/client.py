@@ -36,7 +36,8 @@ class UnknownUser(Exception):
     """No vaults are enrolled under the given user id."""
 
 
-def _get_vaults(server_url: str, user_id: str) -> list[VaultDocument]:
+def _get_vaults(server_url: str, user_id: str) -> tuple[list[VaultDocument], int]:
+    """The user's readable vault documents and the count of unreadable ones."""
     try:
         resp = requests.get(
             f"{server_url.rstrip('/')}/vaults", params={"user_id": user_id}, timeout=_TIMEOUT
@@ -47,9 +48,12 @@ def _get_vaults(server_url: str, user_id: str) -> list[VaultDocument]:
         raise DocumentInvalid(resp.json().get("error", "request rejected"))
     if resp.status_code != 200:
         raise StorageUnavailable(f"vault store returned status {resp.status_code}")
-    docs = resp.json().get("vaults", [])
+    body = resp.json()
+    unreadable = body.get("unreadable", 0)
+    if not isinstance(unreadable, int) or isinstance(unreadable, bool) or unreadable < 0:
+        raise StorageUnavailable(f"vault store sent a bad unreadable count {unreadable!r}")
     # validate everything that came over the wire before trusting it
-    return [document_from_dict(d, require_id=True) for d in docs]
+    return [document_from_dict(d, require_id=True) for d in body.get("vaults", [])], unreadable
 
 
 def enroll(
@@ -97,24 +101,32 @@ def verify(
     """True if any vault enrolled under user_id unlocks with this probe.
 
     The probe file is deleted once a decision is reached, accept or
-    reject.  If the store cannot be reached or holds a corrupt vault file
-    (StorageUnavailable), or a stored vault does not fit params
-    (DocumentInvalid), there is no decision and the probe is kept.
-    Raises UnknownUser when the id has no vaults.
+    reject.  If the store cannot be reached (StorageUnavailable), or a
+    stored vault does not fit params (DocumentInvalid), there is no
+    decision and the probe is kept.  When some of the user's vault files
+    are corrupt, a readable vault that unlocks is still an accept; if
+    none unlocks, an unreadable one might have, so StorageUnavailable is
+    raised without a decision.  Raises UnknownUser when the id has no
+    vaults.
     """
     if rng is None:
         rng = random.Random()
     probe_path = Path(probe_path)
     probe = read_template(probe_path, params.width, params.height)
-    docs = _get_vaults(server_url, user_id)  # probe survives a store outage
+    docs, unreadable = _get_vaults(server_url, user_id)  # probe survives a store outage
     # a vault for another configuration is no decision either
     vaults = [vault_from_document(doc, params) for doc in docs]
+    decided = True
     try:
-        if not vaults:
+        if not vaults and not unreadable:
             raise UnknownUser(f"no vaults enrolled for user id {user_id!r}")
         for vault in vaults:
             if decode_vault(vault, probe, match_params, strategy, rng).matched:
                 return True
+        if unreadable:
+            decided = False
+            raise StorageUnavailable(f"no readable vault unlocked and {unreadable} are unreadable")
         return False
     finally:
-        probe_path.unlink(missing_ok=True)
+        if decided:
+            probe_path.unlink(missing_ok=True)

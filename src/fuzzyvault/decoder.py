@@ -203,12 +203,11 @@ def decode_vault(
         for lo in range(0, len(compatible), _BASIS_CHUNK):
             chunk = compatible[lo : lo + _BASIS_CHUNK]
             margins = match_margins_many(vtable, ptable, i, chunk, match_params)
-            for row in range(len(chunk)):
-                bases_tried += 1
-                cand = np.nonzero(margins[row] <= 0.0)[0]
-                if cand.size < size:
-                    continue
+            hits = margins <= 0.0
+            # only rows with at least degree+1 candidates can unlock
+            for row in np.flatnonzero(np.count_nonzero(hits, axis=1) >= size):
                 sets_evaluated += 1
+                cand = np.flatnonzero(hits[row])
                 # Strongest matches first; ties keep vault order.
                 order = cand[np.argsort(margins[row][cand], kind="stable")]
                 pool = [vault.points[int(j)] for j in order]
@@ -216,5 +215,7 @@ def decode_vault(
                     interpolations += 1
                     secret = try_unlock(subset, degree)
                     if secret is not None:
+                        bases_tried += int(row) + 1
                         return result(True, secret)
+            bases_tried += len(chunk)
     return result(False, None)

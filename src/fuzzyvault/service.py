@@ -7,11 +7,13 @@ Endpoints:
   and the assigned object id
 * ``GET /vaults?user_id=...`` every vault stored for that user
 
-Schema violations in a request return 400.  Storage faults return 503,
-and so does a stored vault file that is corrupt or breaks the schema:
-the request was fine, the store is not.  The server is a stdlib
-ThreadingHTTPServer; it exists so the client code and the tests can
-exercise the real wire format, not to be an internet-facing deployment.
+Schema violations in a request return 400.  Storage faults return 503.
+A stored vault file that is corrupt or breaks the schema is a server
+fault, not a client one: the user's readable vaults come back with 200
+and an ``"unreadable": n`` count, and if no file is readable the answer
+is 503.  The server is a stdlib ThreadingHTTPServer; it exists so the
+client code and the tests can exercise the real wire format, not to be
+an internet-facing deployment.
 """
 
 from __future__ import annotations
@@ -21,7 +23,13 @@ import threading
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from urllib.parse import parse_qs, urlparse
 
-from .store import DocumentInvalid, StorageUnavailable, document_from_dict, document_to_dict
+from .store import (
+    DocumentInvalid,
+    StorageUnavailable,
+    UnreadableVaults,
+    document_from_dict,
+    document_to_dict,
+)
 
 _MAX_BODY = 8 << 20  # bytes; a vault document is a few KB
 # Seconds between shutdown checks in serve_forever; bounds how long stop() blocks.
@@ -72,15 +80,23 @@ class VaultStoreService:
                     if len(user_ids) != 1:
                         self._reply(400, {"error": "exactly one user_id is required"}, logged)
                         return
+                    unreadable = 0
                     try:
                         docs = service.store.fetch(user_ids[0])
                     except DocumentInvalid as exc:
                         self._reply(400, {"error": str(exc)}, logged)
                         return
+                    except UnreadableVaults as exc:
+                        if not exc.readable:
+                            self._reply(503, {"error": str(exc)}, logged)
+                            return
+                        docs, unreadable = exc.readable, exc.unreadable
                     except StorageUnavailable as exc:
                         self._reply(503, {"error": str(exc)}, logged)
                         return
                     payload = {"vaults": [document_to_dict(d) for d in docs]}
+                    if unreadable:
+                        payload["unreadable"] = unreadable
                     self._reply(200, payload, logged)
                     return
                 self._reply(404, {"error": "unknown path"}, logged)

@@ -30,6 +30,15 @@ class StorageUnavailable(RuntimeError):
     """The vault store cannot be reached or cannot complete an operation."""
 
 
+class UnreadableVaults(StorageUnavailable):
+    """Some of a user's stored vault files are corrupt; readable holds the others."""
+
+    def __init__(self, message: str, readable: list[VaultDocument], unreadable: int):
+        super().__init__(message)
+        self.readable = readable
+        self.unreadable = unreadable
+
+
 @dataclass(frozen=True)
 class VaultDocument:
     object_id: str | None
@@ -142,6 +151,8 @@ class FileVaultStore:
 
     Writes go through a temp file plus fsync plus os.replace, so a
     crash can leave stale temp files but never a half-written document.
+    fetch raises UnreadableVaults, carrying the readable documents, when
+    any of the user's files is corrupt.
     """
 
     def __init__(self, root):
@@ -184,17 +195,23 @@ class FileVaultStore:
         if not user_dir.is_dir():
             return []
         docs = []
+        corrupt = []
         with self._user_lock(user_id):
             try:
                 paths = sorted(p for p in user_dir.glob("*.json") if not p.name.startswith("."))
                 for path in paths:
                     with open(path, "rb") as fh:
-                        data = json.loads(fh.read())
-                    docs.append(document_from_dict(data, require_id=True))
+                        raw = fh.read()
+                    try:
+                        docs.append(document_from_dict(json.loads(raw), require_id=True))
+                    except ValueError as exc:
+                        # bad JSON, bad encoding or a schema violation: the
+                        # request was fine, the store is not
+                        corrupt.append(f"{path.name}: {exc}")
             except OSError as exc:
                 raise StorageUnavailable(f"cannot read vaults: {exc}") from exc
-            except ValueError as exc:
-                # bad JSON, bad encoding or a schema violation: the request
-                # was fine, the store is not, so this is no client fault
-                raise StorageUnavailable(f"corrupt vault file: {exc}") from exc
+        if corrupt:
+            raise UnreadableVaults(
+                f"corrupt vault file: {'; '.join(corrupt)}", readable=docs, unreadable=len(corrupt)
+            )
         return docs

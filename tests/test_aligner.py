@@ -9,6 +9,8 @@ from hypothesis import given, settings, strategies as st
 
 from aligner_oracle import EagerGeometricTable, dense_match_margins_many
 from fuzzyvault.aligner import (
+    _CELL_PAD,
+    _GRID_CELLS,
     GeometricTable,
     MatchParams,
     build_geometric_table,
@@ -111,6 +113,8 @@ def test_match_params_validation():
         MatchParams(-1, 12, 12, 15)
     with pytest.raises(ValueError):
         MatchParams(12, 12, 180, 15)  # theta threshold must stay under 180
+    with pytest.raises(ValueError, match="y_thres"):
+        MatchParams(12, math.nan, 12, 15)
     MatchParams(12, 12, 12, 360)  # basis gate may be disabled entirely
 
 
@@ -215,6 +219,90 @@ def test_match_margins_many_agrees_with_dense_oracle(vault_ms, probe, params, da
     bases = list(range(len(vault_ms)))
     got = match_margins_many(vt, ptab, probe_basis, bases, params)
     expect = dense_match_margins_many(vt, ptab, probe_basis, bases, params)
+    match = expect <= 0.0
+    assert np.array_equal(got <= 0.0, match)
+    assert np.array_equal(got[match], expect[match])
+    assert np.all(np.isposinf(got[~match]))
+
+
+class FixedRows:
+    """A table whose basis rows are given outright, so tests can place points."""
+
+    def __init__(self, coords):
+        self.coords = np.asarray(coords, dtype=float)
+
+    def rows(self, bases):
+        return self.coords[np.asarray(bases, dtype=int)]
+
+
+_grid_thres = st.one_of(st.sampled_from([0.0, 0.5, 1.0, 12.0, 15.0, 4096.0, 1e6]),
+                        st.floats(0.0, 3000.0))
+
+
+def _probe_coords(data, probe_edge, kp):
+    """Probe values for one axis: integers, floats, or multiples of probe_edge."""
+    value = st.one_of(st.integers(-2048, 2048).map(float), st.floats(-3000.0, 3000.0),
+                      st.integers(-32, 32).map(lambda k: k * probe_edge))
+    return np.array(data.draw(st.lists(value, min_size=kp, max_size=kp)))
+
+
+def _vault_coord(data, p, thres, edge):
+    """A vault value for one axis, placed where a grid could go wrong."""
+    kind = data.draw(st.sampled_from(["thres", "pad", "edge", "multiple", "same", "any"]))
+    sign = data.draw(st.sampled_from([-1.0, 1.0]))
+    if kind == "thres":  # exactly at the threshold
+        return p + sign * thres
+    if kind == "pad":
+        return p + sign * (thres + _CELL_PAD)
+    if kind == "edge":
+        return p + sign * edge
+    if kind == "multiple":  # on a cell boundary, inside or outside the grid
+        return data.draw(st.integers(-80, 80)) * edge
+    if kind == "same":
+        return p
+    return data.draw(st.floats(-6000.0, 6000.0))
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    x_thres=_grid_thres,
+    y_thres=_grid_thres,
+    theta_thres=_theta_thres,
+    shape=st.sampled_from(["one", "flat-x", "flat-y", "spread"]),
+    kp=st.integers(2, 30),
+    m=st.integers(1, 2),
+    kv=st.integers(1, 20),
+    data=st.data(),
+)
+def test_grid_kernel_boundaries_agree_with_dense_oracle(
+    x_thres, y_thres, theta_thres, shape, kp, m, kv, data
+):
+    """Points exactly at the threshold, on cell boundaries, off the grid,
+    at negative coordinates, and probes with zero span on an axis."""
+    params = MatchParams(x_thres, y_thres, theta_thres, 360.0)
+    if shape == "one":
+        kp = 1
+    px = _probe_coords(data, x_thres + _CELL_PAD, kp)
+    py = _probe_coords(data, y_thres + _CELL_PAD, kp)
+    if shape == "flat-x":  # collinear: zero span in x
+        px[:] = px[0]
+    elif shape == "flat-y":
+        py[:] = py[0]
+    pt = np.array(data.draw(st.lists(_angles, min_size=kp, max_size=kp)))
+    # the cell edges the kernel derives from this probe
+    edges = [max(t + _CELL_PAD, (c.max() - c.min()) / _GRID_CELLS)
+             for t, c in ((x_thres, px), (y_thres, py))]
+    vault = np.empty((m * kv, 3))
+    for j in range(m * kv):
+        near = data.draw(st.integers(0, kp - 1))
+        vault[j, 0] = _vault_coord(data, px[near], x_thres, edges[0])
+        vault[j, 1] = _vault_coord(data, py[near], y_thres, edges[1])
+        vault[j, 2] = data.draw(st.one_of(st.just(pt[near]), _angles))
+    vt = FixedRows(vault.reshape(m, kv, 3))
+    ptab = FixedRows(np.stack([px, py, pt], axis=1)[None])
+    bases = list(range(m))
+    got = match_margins_many(vt, ptab, 0, bases, params)
+    expect = dense_match_margins_many(vt, ptab, 0, bases, params)
     match = expect <= 0.0
     assert np.array_equal(got <= 0.0, match)
     assert np.array_equal(got[match], expect[match])

@@ -188,11 +188,17 @@ def test_decode_respects_iteration_cap():
     assert res.interpolations_performed <= res.candidate_sets_evaluated
 
 
+# (bases_tried, candidate_sets_evaluated, interpolations_performed) of the
+# genuine and the impostor probe, as the decoder counted them row by row
+_PINNED_COUNTERS = {"fvc-1": ((27, 1, 3), (867, 0, 0)), "fvc-4": ((4, 1, 1), (561, 0, 0))}
+
+
 @pytest.mark.parametrize("name", ["fvc-1", "fvc-4"])
 def test_decode_same_result_with_dense_kernel_oracle(name, monkeypatch):
     """Candidate sets, their order and so every counter and secret are unchanged.
 
-    Checked against the dense kernel, the eagerly built table, and both.
+    Checked against the dense kernel, the eagerly built table, and both,
+    and the counters against the values pinned above.
     """
     cfg = BUILTIN_CONFIGS[name]
     t = synth_template(400 + cfg.degree, 60)
@@ -215,3 +221,6 @@ def test_decode_same_result_with_dense_kernel_oracle(name, monkeypatch):
             assert [run(genuine), run(impostor)] == fast
     assert fast[0].matched and fast[0].secret == secret
     assert not fast[1].matched and fast[1].bases_tried > 0
+    counters = tuple((r.bases_tried, r.candidate_sets_evaluated, r.interpolations_performed)
+                     for r in fast)
+    assert counters == _PINNED_COUNTERS[name]

@@ -20,6 +20,7 @@ from fuzzyvault.store import (
     FileVaultStore,
     MemoryVaultStore,
     StorageUnavailable,
+    UnreadableVaults,
     VaultDocument,
     document_from_dict,
     document_from_vault,
@@ -185,6 +186,18 @@ def test_file_store_corrupt_document(tmp_path):
         (root / "bob" / f"{object_id}.json").write_text(content)
         with pytest.raises(StorageUnavailable, match="corrupt vault file"):
             store.fetch("bob")
+
+
+def test_file_store_corrupt_document_keeps_the_readable_ones(tmp_path):
+    root = tmp_path / "vaults"
+    store = FileVaultStore(root)
+    good = store.put(make_doc(user_id="bob"))
+    bad = store.put(make_doc(user_id="bob"))
+    (root / "bob" / f"{bad}.json").write_text("{ not json")
+    with pytest.raises(UnreadableVaults, match="corrupt vault file") as info:
+        store.fetch("bob")
+    assert [d.object_id for d in info.value.readable] == [good]
+    assert info.value.unreadable == 1
 
 
 def test_file_store_unavailable_root(tmp_path):
@@ -379,6 +392,65 @@ def test_corrupt_stored_vault_is_503_and_keeps_probe(tmp_path, live, content):
         verify(probe_path, "hana", live.url, small_params(),
                MatchParams(12, 12, 12, 15), ITERATIVE, random.Random(96))
     assert probe_path.exists()  # no decision was reached
+
+
+def enroll_good_and_corrupt(tmp_path, live, user_id, finger):
+    """Enroll finger twice for user_id, then corrupt the second file."""
+    ids = []
+    for i in range(2):
+        enroll_path = tmp_path / f"enroll{i}.xyt"
+        write_template(enroll_path, finger)
+        object_id, _ = enroll(enroll_path, user_id, live.url, small_params(),
+                              random.Random(97 + i))
+        ids.append(object_id)
+    (tmp_path / "vaults" / user_id / f"{ids[1]}.json").write_text("{ not json")
+    return ids
+
+
+def test_one_corrupt_vault_leaves_the_others_readable(tmp_path, live):
+    finger = synth_template(98, 40)
+    good, _ = enroll_good_and_corrupt(tmp_path, live, "ivan", finger)
+
+    resp = requests.get(f"{live.url}/vaults", params={"user_id": "ivan"}, timeout=5)
+    assert resp.status_code == 200
+    body = resp.json()
+    assert [v["id"] for v in body["vaults"]] == [good]
+    assert body["unreadable"] == 1
+
+    probe_path = tmp_path / "probe.xyt"
+    write_template(probe_path, perturb_template(finger, rotation=3.0, translation=(2.0, 1.0),
+                                                jitter=1.0, rng=random.Random(99)))
+    assert verify(probe_path, "ivan", live.url, small_params(),
+                  MatchParams(12, 12, 12, 15), ITERATIVE, random.Random(100))
+    assert not probe_path.exists()  # a readable vault unlocked: a decision
+
+
+def test_impostor_with_a_corrupt_vault_gets_no_decision(tmp_path, live):
+    enroll_good_and_corrupt(tmp_path, live, "jana", synth_template(101, 40))
+
+    probe_path = tmp_path / "probe.xyt"
+    write_template(probe_path, synth_template(102, 40))
+    with pytest.raises(StorageUnavailable, match="1 are unreadable"):
+        verify(probe_path, "jana", live.url, small_params(),
+               MatchParams(12, 12, 12, 15), ITERATIVE, random.Random(103))
+    assert probe_path.exists()  # the unreadable vault might have matched
+
+
+def test_all_vaults_corrupt_is_503_and_keeps_probe(tmp_path, live):
+    finger = synth_template(104, 40)
+    good, _ = enroll_good_and_corrupt(tmp_path, live, "kofi", finger)
+    (tmp_path / "vaults" / "kofi" / f"{good}.json").write_text(_CORRUPT_FILES[1])
+
+    resp = requests.get(f"{live.url}/vaults", params={"user_id": "kofi"}, timeout=5)
+    assert resp.status_code == 503
+    assert set(resp.json()) == {"error"}
+
+    probe_path = tmp_path / "probe.xyt"
+    write_template(probe_path, finger)
+    with pytest.raises(StorageUnavailable):
+        verify(probe_path, "kofi", live.url, small_params(),
+               MatchParams(12, 12, 12, 15), ITERATIVE, random.Random(105))
+    assert probe_path.exists()
 
 
 def test_client_keeps_files_when_store_unreachable(tmp_path):
