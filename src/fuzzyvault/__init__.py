@@ -7,7 +7,7 @@ polynomial interpolation plus a CRC check.  Includes the attack-cost
 analysis, an accuracy harness and a small enroll/verify service.
 """
 
-from .aligner import MatchParams, build_geometric_table, rigid_transform
+from .aligner import MatchParams, build_geometric_table
 from .decoder import (
     DEFAULT_STRATEGY,
     ITERATIVE_SELECTION,
@@ -43,9 +43,7 @@ from .minutiae import (
 from .security import (
     AttackEstimate,
     SecurityModel,
-    bit_security,
     estimate,
-    expected_attempts,
     monotonicity_report,
     simulate_attack,
 )
@@ -85,18 +83,15 @@ __all__ = [
     "Vault",
     "VaultParams",
     "VaultPoint",
-    "bit_security",
     "build_geometric_table",
     "decode_vault",
     "encode_vault",
     "estimate",
-    "expected_attempts",
     "make_synthetic_dataset",
     "monotonicity_report",
     "parse_template",
     "perturb_template",
     "read_template",
-    "rigid_transform",
     "run_all_vs_all",
     "run_fvc_protocol",
     "select_minutiae",

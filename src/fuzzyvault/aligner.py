@@ -28,14 +28,12 @@ callers only read which points match and in what order.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 import numpy as np
 
 from .minutiae import Minutia
-from .vault import VaultPoint
 
 # A probe-grid cell is at least the threshold plus this many pixels wide,
 # so a point within the threshold of a probe minutia is at most one cell away.
@@ -59,28 +57,6 @@ class MatchParams:
             raise ValueError("theta_thres must be < 180 (circular distance caps there)")
         if self.theta_basis_thres > 360:
             raise ValueError("theta_basis_thres must be <= 360")
-
-
-@dataclass(frozen=True)
-class TransformedMinutia:
-    x: float
-    y: float
-    theta: float
-    origin_index: int  # index of the untransformed source point
-
-
-def rigid_transform(basis: Minutia, m: Minutia, origin_index: int = 0) -> TransformedMinutia:
-    """Express m in the frame whose origin is basis, oriented along basis.theta."""
-    b = math.radians(basis.theta)
-    cb, sb = math.cos(b), math.sin(b)
-    dx = m.x - basis.x
-    dy = m.y - basis.y
-    return TransformedMinutia(
-        x=cb * dx + sb * dy,
-        y=-sb * dx + cb * dy,
-        theta=(m.theta - basis.theta) % 360.0,
-        origin_index=origin_index,
-    )
 
 
 class GeometricTable:
@@ -126,43 +102,9 @@ class GeometricTable:
             self._built[todo] = True
         return self._rows[idx]
 
-    @property
-    def coords(self) -> np.ndarray:
-        """The whole table, shape (k, k, 3)."""
-        return self.rows(np.arange(len(self)))
-
-    def row(self, i: int) -> list[TransformedMinutia]:
-        return [
-            TransformedMinutia(float(x), float(y), float(t), j)
-            for j, (x, y, t) in enumerate(self.rows([i])[0])
-        ]
-
 
 def build_geometric_table(minutiae: Iterable[Minutia]) -> GeometricTable:
     return GeometricTable(minutiae)
-
-
-def circular_diff(a: float, b: float) -> float:
-    """Smaller arc between two angles in degrees; always in [0, 180]."""
-    d = abs(a - b) % 360.0
-    return min(d, 360.0 - d)
-
-
-def match_margins(
-    vault_table: GeometricTable,
-    probe_table: GeometricTable,
-    probe_basis: int,
-    vault_basis: int,
-    params: MatchParams,
-) -> np.ndarray:
-    """Per-vault-point margin against the matching thresholds.
-
-    A vault point j matches when some probe minutia lies within all three
-    thresholds in the paired basis frames.  For a match, entry j is the
-    margin min over probe minutiae of max(|dx| - x_thres, |dy| - y_thres,
-    circ(dtheta) - theta_thres), which is <= 0; every other entry is +inf.
-    """
-    return match_margins_many(vault_table, probe_table, probe_basis, [vault_basis], params)[0]
 
 
 def match_margins_many(
@@ -172,7 +114,13 @@ def match_margins_many(
     vault_bases: Sequence[int],
     params: MatchParams,
 ) -> np.ndarray:
-    """match_margins for several vault bases at once; shape (len(bases), kv).
+    """Per-vault-point margins in several vault basis frames; shape (len(bases), kv).
+
+    A vault point j matches in the frame of a vault basis when some probe
+    minutia lies within all three thresholds in the paired frames.  For a
+    match, the entry is the margin min over probe minutiae of
+    max(|dx| - x_thres, |dy| - y_thres, circ(dtheta) - theta_thres),
+    which is <= 0; every other entry is +inf.
 
     The probe basis frame is hashed once per call into a grid whose cell
     edge on each axis is max(thres + _CELL_PAD, span / _GRID_CELLS),
@@ -230,20 +178,3 @@ def match_margins_many(
     np.minimum.at(margins, f[hit], s[hit])
     return margins.reshape(m, kv)
 
-
-def collect_candidates(
-    vault_table: GeometricTable,
-    vault_points: Sequence[VaultPoint],
-    probe_table: GeometricTable,
-    probe_basis: int,
-    vault_basis: int,
-    params: MatchParams,
-) -> set[VaultPoint]:
-    """Vault points within thresholds of at least one transformed probe minutia.
-
-    Works in the paired frames of the two given bases; the caller is
-    responsible for only pairing bases whose orientations agree within
-    theta_basis_thres.
-    """
-    margins = match_margins(vault_table, probe_table, probe_basis, vault_basis, params)
-    return {vault_points[j] for j in np.nonzero(margins <= 0.0)[0]}

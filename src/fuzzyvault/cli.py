@@ -16,6 +16,7 @@ import random
 import statistics
 import sys
 import time
+from dataclasses import asdict
 from pathlib import Path
 
 import click
@@ -26,9 +27,8 @@ from .client import enroll as client_enroll
 from .client import verify as client_verify
 from .decoder import (
     DEFAULT_ITERATION_CAP,
-    ITERATIVE_SELECTION,
-    RANDOM_GENERATION,
     RANDOM_SELECTION,
+    VARIANTS,
     SubsetStrategy,
     decode_vault,
     try_unlock,
@@ -38,7 +38,6 @@ from .evaluation import (
     DatasetTooSmall,
     load_dataset,
     make_synthetic_dataset,
-    report_to_dict,
     run_all_vs_all,
     run_fvc_protocol,
     write_report_csv,
@@ -56,7 +55,6 @@ from .vault import (
     vault_to_dict,
 )
 
-_STRATEGIES = [ITERATIVE_SELECTION, RANDOM_GENERATION, RANDOM_SELECTION]
 _USAGE_ERRORS = (
     ParseError,
     OutOfBounds,
@@ -124,7 +122,7 @@ def encode(template_path, out_path, degree, genuine, chaff, pd, width, height, s
 @click.option("--y-thres", default=12.0, show_default=True)
 @click.option("--theta-thres", default=12.0, show_default=True)
 @click.option("--basis-thres", default=15.0, show_default=True)
-@click.option("--strategy", "strategy_name", type=click.Choice(_STRATEGIES),
+@click.option("--strategy", "strategy_name", type=click.Choice(VARIANTS),
               default=RANDOM_SELECTION, show_default=True)
 @click.option("--cap", type=int, default=None, help="subset draws per candidate set")
 @click.option("--seed", type=int, default=None)
@@ -181,8 +179,9 @@ def security(genuine, chaff, degree, interp_seconds):
 
 
 @main.command()
-@click.option("--n", "degree", default=8, show_default=True, help="polynomial degree")
-@click.option("--trials", default=200, show_default=True)
+@click.option("--n", "degree", default=8, show_default=True, type=click.IntRange(min=1),
+              help="polynomial degree")
+@click.option("--trials", default=200, show_default=True, type=click.IntRange(min=1))
 @click.option("--seed", type=int, default=0, show_default=True)
 def benchmark(degree, trials, seed):
     """Measure seconds per unlock attempt; feed the result to security --l."""
@@ -253,7 +252,7 @@ def eval_cmd(dataset_dir, synthetic_spec, protocol, config_name, seed, out_path,
             write_report_csv(report, out_path)
     except _USAGE_ERRORS as exc:
         _fail(exc)
-    click.echo(json.dumps(report_to_dict(report), indent=2))
+    click.echo(json.dumps(asdict(report), indent=2))
 
 
 @main.command()
@@ -288,7 +287,7 @@ def enroll(user_id, template_path, server, config_name, width, height, seed):
               help="vault store URL (env: FV_SERVER)")
 @click.option("--config", "config_name", type=click.Choice(sorted(BUILTIN_CONFIGS)),
               default="fvc-1", show_default=True)
-@click.option("--strategy", "strategy_name", type=click.Choice(_STRATEGIES),
+@click.option("--strategy", "strategy_name", type=click.Choice(VARIANTS),
               default=RANDOM_SELECTION, show_default=True)
 @click.option("--cap", type=int, default=None)
 @click.option("--width", default=400, show_default=True)

@@ -36,24 +36,41 @@ class UnknownUser(Exception):
     """No vaults are enrolled under the given user id."""
 
 
-def _get_vaults(server_url: str, user_id: str) -> tuple[list[VaultDocument], int]:
-    """The user's readable vault documents and the count of unreadable ones."""
+def _request(send, server_url: str, expected: int, **kwargs) -> dict:
+    """The JSON object the store answers on /vaults; send is requests.get or .post.
+
+    Raises DocumentInvalid on a 400, and StorageUnavailable when the store
+    cannot be reached, answers another status, or sends no JSON object.
+    """
     try:
-        resp = requests.get(
-            f"{server_url.rstrip('/')}/vaults", params={"user_id": user_id}, timeout=_TIMEOUT
-        )
+        resp = send(f"{server_url.rstrip('/')}/vaults", timeout=_TIMEOUT, **kwargs)
     except requests.RequestException as exc:
         raise StorageUnavailable(f"cannot reach vault store: {exc}") from exc
+    try:
+        body = resp.json()
+    except ValueError:
+        body = None
     if resp.status_code == 400:
-        raise DocumentInvalid(resp.json().get("error", "request rejected"))
-    if resp.status_code != 200:
+        error = body.get("error") if isinstance(body, dict) else None
+        raise DocumentInvalid(error if isinstance(error, str) else "request rejected")
+    if resp.status_code != expected:
         raise StorageUnavailable(f"vault store returned status {resp.status_code}")
-    body = resp.json()
+    if not isinstance(body, dict):
+        raise StorageUnavailable("vault store sent a reply that is not a JSON object")
+    return body
+
+
+def _get_vaults(server_url: str, user_id: str) -> tuple[list[VaultDocument], int]:
+    """The user's readable vault documents and the count of unreadable ones."""
+    body = _request(requests.get, server_url, 200, params={"user_id": user_id})
+    vaults = body.get("vaults", [])
+    if not isinstance(vaults, list):
+        raise StorageUnavailable(f"vault store sent a bad vault list {vaults!r}")
     unreadable = body.get("unreadable", 0)
     if not isinstance(unreadable, int) or isinstance(unreadable, bool) or unreadable < 0:
         raise StorageUnavailable(f"vault store sent a bad unreadable count {unreadable!r}")
     # validate everything that came over the wire before trusting it
-    return [document_from_dict(d, require_id=True) for d in body.get("vaults", [])], unreadable
+    return [document_from_dict(d, require_id=True) for d in vaults], unreadable
 
 
 def enroll(
@@ -76,15 +93,10 @@ def enroll(
     template = read_template(template_path, params.width, params.height)
     vault, secret = encode_vault(template, params, rng)
     payload = document_to_dict(document_from_vault(vault, user_id))
-    try:
-        resp = requests.post(f"{server_url.rstrip('/')}/vaults", json=payload, timeout=_TIMEOUT)
-    except requests.RequestException as exc:
-        raise StorageUnavailable(f"cannot reach vault store: {exc}") from exc
-    if resp.status_code == 400:
-        raise DocumentInvalid(resp.json().get("error", "document rejected"))
-    if resp.status_code != 201:
-        raise StorageUnavailable(f"enrollment not acknowledged (status {resp.status_code})")
-    object_id = resp.json()["object_id"]
+    body = _request(requests.post, server_url, 201, json=payload)
+    object_id = body.get("object_id")
+    if not isinstance(object_id, str) or not object_id:
+        raise StorageUnavailable(f"enrollment not acknowledged (object id {object_id!r})")
     template_path.unlink()
     return object_id, secret
 

@@ -31,12 +31,12 @@ from .vault import Vault, VaultPoint, WORD_BYTES, join_coefficients
 ITERATIVE_SELECTION = "iterative-selection"
 RANDOM_GENERATION = "random-generation"
 RANDOM_SELECTION = "random-selection"
-_VARIANTS = (ITERATIVE_SELECTION, RANDOM_GENERATION, RANDOM_SELECTION)
+VARIANTS = (ITERATIVE_SELECTION, RANDOM_GENERATION, RANDOM_SELECTION)
 
 # Per basis pair, random-selection stops after this many draws unless told otherwise.
 DEFAULT_ITERATION_CAP = 2**20
 # random-generation refuses to materialize more subsets than this.
-DEFAULT_SUBSET_BUDGET = 1_000_000
+SUBSET_BUDGET = 1_000_000
 
 # How many vault bases to run through the threshold kernel per numpy call;
 # bounds scratch memory, not results.
@@ -64,15 +64,12 @@ class SubsetStrategy:
 
     variant: str
     iteration_cap: int | None = None
-    subset_budget: int = DEFAULT_SUBSET_BUDGET
 
     def __post_init__(self):
-        if self.variant not in _VARIANTS:
-            raise ValueError(f"unknown variant {self.variant!r}; pick one of {_VARIANTS}")
+        if self.variant not in VARIANTS:
+            raise ValueError(f"unknown variant {self.variant!r}; pick one of {VARIANTS}")
         if self.iteration_cap is not None and self.iteration_cap < 1:
             raise ValueError("iteration_cap must be positive")
-        if self.subset_budget < 1:
-            raise ValueError("subset_budget must be positive")
 
 
 DEFAULT_STRATEGY = SubsetStrategy(RANDOM_SELECTION, iteration_cap=DEFAULT_ITERATION_CAP)
@@ -116,9 +113,9 @@ def generate_subsets(
 
     total = math.comb(m, size)
     if strategy.variant == RANDOM_GENERATION:
-        if total > strategy.subset_budget:
+        if total > SUBSET_BUDGET:
             raise CapacityError(
-                f"{total} subsets exceed the materialization budget of {strategy.subset_budget}"
+                f"{total} subsets exceed the materialization budget of {SUBSET_BUDGET}"
             )
         subsets = list(itertools.combinations(candidates, size))
         rng.shuffle(subsets)

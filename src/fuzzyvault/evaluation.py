@@ -380,13 +380,9 @@ def run_all_vs_all(
     )
 
 
-def report_to_dict(report: AccuracyReport) -> dict:
-    return asdict(report)
-
-
 def write_report_csv(report: AccuracyReport, path):
     """One header row, one value row; loads cleanly into a spreadsheet."""
-    data = report_to_dict(report)
+    data = asdict(report)
     with open(path, "w", newline="") as fh:
         writer = csv.DictWriter(fh, fieldnames=list(data))
         writer.writeheader()

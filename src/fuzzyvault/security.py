@@ -74,26 +74,8 @@ def subset_counts(model: SecurityModel) -> tuple[int, int, int]:
     return v_s, g_s, v_s - g_s
 
 
-def expected_attempts(model: SecurityModel) -> Fraction:
-    """Exact mean draws to the first all-genuine subset, (v_s + 1) / (g_s + 1)."""
-    v_s, g_s, _ = subset_counts(model)
-    return Fraction(v_s + 1, g_s + 1)
-
-
-def expected_time(model: SecurityModel) -> float:
-    """Expected attack wall time: attempts times per-attempt seconds."""
-    if model.interpolation_seconds is None:
-        raise ValueError("model has no interpolation_seconds; measure one first")
-    return float(expected_attempts(model)) * model.interpolation_seconds
-
-
-def bit_security(model: SecurityModel) -> float:
-    """log2 of the expected attempts; exact on the rational, then floated."""
-    e = expected_attempts(model)
-    return math.log2(e.numerator) - math.log2(e.denominator)
-
-
 def estimate(model: SecurityModel) -> AttackEstimate:
+    """Subset counts, mean draws (v_s + 1) / (g_s + 1), seconds if measured, bits."""
     v_s, g_s, c_s = subset_counts(model)
     attempts = Fraction(v_s + 1, g_s + 1)
     seconds = None
@@ -132,27 +114,29 @@ def monotonicity_report(model: SecurityModel) -> list[TrendRow]:
         raise RegimeViolation(
             f"need genuine_count >= {2 * k} for degree {model.degree}, got {model.genuine_count}"
         )
-    base = expected_attempts(model)
+    base = estimate(model).expected_attempts
     rows = []
 
-    g_above = expected_attempts(replace(model, genuine_count=model.genuine_count + 1))
-    g_below = expected_attempts(replace(model, genuine_count=model.genuine_count - 1))
+    g_above = estimate(replace(model, genuine_count=model.genuine_count + 1)).expected_attempts
+    g_below = estimate(replace(model, genuine_count=model.genuine_count - 1)).expected_attempts
     if model.chaff_count > 0 and not g_above < base < g_below:
         raise AssertionError("expected attempts must fall as genuine_count grows")
     rows.append(TrendRow("genuine_count", g_below, base, g_above))
 
-    c_above = expected_attempts(replace(model, chaff_count=model.chaff_count + 1))
+    c_above = estimate(replace(model, chaff_count=model.chaff_count + 1)).expected_attempts
     c_below = None
     if model.chaff_count >= 1:
-        c_below = expected_attempts(replace(model, chaff_count=model.chaff_count - 1))
+        c_below = estimate(replace(model, chaff_count=model.chaff_count - 1)).expected_attempts
         if not c_below < base:
             raise AssertionError("expected attempts must rise as chaff_count grows")
     if not base < c_above:
         raise AssertionError("expected attempts must rise as chaff_count grows")
     rows.append(TrendRow("chaff_count", c_below, base, c_above))
 
-    n_above = expected_attempts(replace(model, degree=model.degree + 1))
-    n_below = expected_attempts(replace(model, degree=model.degree - 1)) if model.degree > 1 else None
+    n_above = estimate(replace(model, degree=model.degree + 1)).expected_attempts
+    n_below = None
+    if model.degree > 1:
+        n_below = estimate(replace(model, degree=model.degree - 1)).expected_attempts
     if model.chaff_count > 0 and not base < n_above:
         raise AssertionError("expected attempts must rise with the degree")
     if n_below is not None and model.chaff_count > 0 and not n_below < base:

@@ -19,7 +19,7 @@ from pathlib import Path
 
 from .vault import Vault, VaultParams, VaultPoint, check_point_pairs
 
-_USER_ID_RE = re.compile(r"^[A-Za-z0-9._-]{1,64}$")
+_USER_ID_RE = re.compile(r"[A-Za-z0-9._-]{1,64}")
 
 
 class DocumentInvalid(ValueError):
@@ -45,6 +45,13 @@ class VaultDocument:
     user_id: str
     degree: int
     points: tuple[VaultPoint, ...]
+
+
+def check_user_id(user_id) -> None:
+    """Raise DocumentInvalid unless user_id is safe as one directory name."""
+    if (not isinstance(user_id, str) or not _USER_ID_RE.fullmatch(user_id)
+            or not user_id.strip(".")):
+        raise DocumentInvalid("user_id must match [A-Za-z0-9._-]{1,64} and not be all dots")
 
 
 def document_from_vault(vault: Vault, user_id: str, object_id: str | None = None) -> VaultDocument:
@@ -99,9 +106,7 @@ def validate_document_dict(data, require_id: bool) -> None:
         oid = data["id"]
         if not isinstance(oid, str) or not oid:
             raise DocumentInvalid("id must be a non-empty string")
-    user_id = data["user_id"]
-    if not isinstance(user_id, str) or not _USER_ID_RE.match(user_id):
-        raise DocumentInvalid("user_id must match [A-Za-z0-9._-]{1,64}")
+    check_user_id(data["user_id"])
     n = data["n"]
     if not isinstance(n, int) or isinstance(n, bool) or n < 1:
         raise DocumentInvalid("n must be an integer >= 1")
@@ -140,8 +145,7 @@ class MemoryVaultStore:
         return object_id
 
     def fetch(self, user_id: str) -> list[VaultDocument]:
-        if not _USER_ID_RE.match(user_id or ""):
-            raise DocumentInvalid("user_id must match [A-Za-z0-9._-]{1,64}")
+        check_user_id(user_id)
         with self._lock:
             return list(self._by_user.get(user_id, []))
 
@@ -150,15 +154,19 @@ class FileVaultStore:
     """One JSON file per vault under root/<user_id>/<object_id>.json.
 
     Writes go through a temp file plus fsync plus os.replace, so a
-    crash can leave stale temp files but never a half-written document.
-    fetch raises UnreadableVaults, carrying the readable documents, when
-    any of the user's files is corrupt.
+    crash can leave a stale temp file but never a half-written document;
+    construction removes the temp files a crashed writer left behind, so
+    one store object must own its root.  fetch raises UnreadableVaults,
+    carrying the readable documents, when any of the user's files is
+    corrupt.
     """
 
     def __init__(self, root):
         self.root = Path(root)
         try:
             self.root.mkdir(parents=True, exist_ok=True)
+            for stale in self.root.glob("*/.*.tmp"):
+                stale.unlink(missing_ok=True)
         except OSError as exc:
             raise StorageUnavailable(f"cannot create store root {self.root}: {exc}") from exc
         self._locks_guard = threading.Lock()
@@ -189,8 +197,7 @@ class FileVaultStore:
         return object_id
 
     def fetch(self, user_id: str) -> list[VaultDocument]:
-        if not _USER_ID_RE.match(user_id or ""):
-            raise DocumentInvalid("user_id must match [A-Za-z0-9._-]{1,64}")
+        check_user_id(user_id)
         user_dir = self.root / user_id
         if not user_dir.is_dir():
             return []

@@ -1,17 +1,76 @@
-"""Dense reference for the aligner's threshold kernel.
+"""Reference code for the aligner: scalar views and the kernels as first written.
 
-This is the kernel as first written: every (basis, probe, vault) slack is
-materialized and reduced, so each entry is the true margin, positive or
-not.  The shipped kernel must agree with it on every matching entry.
+The scalar rigid transform and the candidate collectors work one basis
+pair at a time; the dense kernel materializes every (basis, probe, vault)
+slack, so each entry is the true margin, positive or not; the eager table
+builds every basis row up front.  The shipped table and kernel must agree
+with them.
 """
 
+import math
+from dataclasses import dataclass
+
 import numpy as np
+
+from fuzzyvault.aligner import match_margins_many
+
+
+@dataclass(frozen=True)
+class TransformedMinutia:
+    x: float
+    y: float
+    theta: float
+    origin_index: int  # index of the untransformed source point
+
+
+def rigid_transform(basis, m, origin_index=0):
+    """Express m in the frame whose origin is basis, oriented along basis.theta."""
+    b = math.radians(basis.theta)
+    cb, sb = math.cos(b), math.sin(b)
+    dx = m.x - basis.x
+    dy = m.y - basis.y
+    return TransformedMinutia(
+        x=cb * dx + sb * dy,
+        y=-sb * dx + cb * dy,
+        theta=(m.theta - basis.theta) % 360.0,
+        origin_index=origin_index,
+    )
+
+
+def circular_diff(a, b):
+    """Smaller arc between two angles in degrees; always in [0, 180]."""
+    d = abs(a - b) % 360.0
+    return min(d, 360.0 - d)
+
+
+def table_coords(table):
+    """The whole table, shape (k, k, 3)."""
+    return table.rows(np.arange(len(table)))
+
+
+def table_row(table, i):
+    """Row i of a table as TransformedMinutia, one per source point."""
+    return [
+        TransformedMinutia(float(x), float(y), float(t), j)
+        for j, (x, y, t) in enumerate(table.rows([i])[0])
+    ]
+
+
+def match_margins(vault_table, probe_table, probe_basis, vault_basis, params):
+    """The shipped kernel for one vault basis; shape (kv,)."""
+    return match_margins_many(vault_table, probe_table, probe_basis, [vault_basis], params)[0]
+
+
+def collect_candidates(vault_table, vault_points, probe_table, probe_basis, vault_basis, params):
+    """Vault points within thresholds of at least one transformed probe minutia."""
+    margins = match_margins(vault_table, probe_table, probe_basis, vault_basis, params)
+    return {vault_points[j] for j in np.nonzero(margins <= 0.0)[0]}
 
 
 def dense_match_margins_many(vault_table, probe_table, probe_basis, vault_bases, params):
     """Margins of shape (len(vault_bases), kv); entry <= 0 means a match."""
-    P = probe_table.coords[probe_basis]  # (kp, 3)
-    V = vault_table.coords[np.asarray(vault_bases, dtype=int)]  # (m, kv, 3)
+    P = probe_table.rows([probe_basis])[0]  # (kp, 3)
+    V = vault_table.rows(vault_bases)  # (m, kv, 3)
     dx = np.abs(V[:, None, :, 0] - P[None, :, None, 0]) - params.x_thres
     dy = np.abs(V[:, None, :, 1] - P[None, :, None, 1]) - params.y_thres
     dt = np.abs(V[:, None, :, 2] - P[None, :, None, 2]) % 360.0

@@ -7,18 +7,22 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from aligner_oracle import EagerGeometricTable, dense_match_margins_many
+from aligner_oracle import (
+    EagerGeometricTable,
+    circular_diff,
+    collect_candidates,
+    dense_match_margins_many,
+    match_margins,
+    rigid_transform,
+    table_coords,
+    table_row,
+)
 from fuzzyvault.aligner import (
     _CELL_PAD,
     _GRID_CELLS,
-    GeometricTable,
     MatchParams,
     build_geometric_table,
-    circular_diff,
-    collect_candidates,
-    match_margins,
     match_margins_many,
-    rigid_transform,
 )
 from fuzzyvault.minutiae import Minutia
 from fuzzyvault.vault import VaultPoint
@@ -66,16 +70,17 @@ def test_rigid_transform_matches_rotation_matrix_oracle():
 
 
 def test_table_shapes():
-    one = build_geometric_table([Minutia(5, 5, 10.0)])
-    assert len(one) == 1
-    assert one.coords.shape == (1, 1, 3)
-    assert tuple(one.coords[0, 0]) == (0.0, 0.0, 0.0)
+    one_table = build_geometric_table([Minutia(5, 5, 10.0)])
+    assert len(one_table) == 1
+    one = table_coords(one_table)
+    assert one.shape == (1, 1, 3)
+    assert tuple(one[0, 0]) == (0.0, 0.0, 0.0)
 
     ms = [Minutia(i * 20, i * 10, (i * 30) % 360.0) for i in range(7)]
-    table = build_geometric_table(ms)
-    assert table.coords.shape == (7, 7, 3)
+    coords = table_coords(build_geometric_table(ms))
+    assert coords.shape == (7, 7, 3)
     for i in range(7):
-        assert tuple(table.coords[i, i]) == (0.0, 0.0, 0.0)  # exact zero diagonal
+        assert tuple(coords[i, i]) == (0.0, 0.0, 0.0)  # exact zero diagonal
 
 
 def test_table_rows_agree_with_rigid_transform():
@@ -83,7 +88,7 @@ def test_table_rows_agree_with_rigid_transform():
     ms = [Minutia(rng.randrange(400), rng.randrange(560), rng.uniform(0, 360)) for _ in range(9)]
     table = build_geometric_table(ms)
     for i in range(9):
-        for j, entry in enumerate(table.row(i)):
+        for j, entry in enumerate(table_row(table, i)):
             ref = rigid_transform(ms[i], ms[j], origin_index=i)
             assert abs(entry.x - ref.x) < 1e-9
             assert abs(entry.y - ref.y) < 1e-9
@@ -95,8 +100,8 @@ def test_table_invariant_under_global_rigid_motion():
     ms = [Minutia(rng.uniform(50, 350), rng.uniform(50, 500), rng.uniform(0, 360))
           for _ in range(12)]
     moved = [rotate_about(m, 200.0, 280.0, 37.5, dx=14.2, dy=-9.1) for m in ms]
-    a = build_geometric_table(ms).coords
-    b = build_geometric_table(moved).coords
+    a = table_coords(build_geometric_table(ms))
+    b = table_coords(build_geometric_table(moved))
     assert np.max(np.abs(a[..., 0] - b[..., 0])) < 1e-6
     assert np.max(np.abs(a[..., 1] - b[..., 1])) < 1e-6
     dt = np.abs(a[..., 2] - b[..., 2]) % 360.0
@@ -326,4 +331,4 @@ def test_rows_built_on_demand_agree_with_eager_oracle(ms, data):
             assert np.all(got[row, b] == 0.0)  # exact zero transform on the diagonal
         requested.update(bases)
         assert int(table._built.sum()) == len(requested)  # nothing built unasked
-    assert np.array_equal(table.coords, expect)
+    assert np.array_equal(table_coords(table), expect)

@@ -144,6 +144,15 @@ def test_benchmark_reports_latency(runner):
     assert report["interpolation_seconds"] > 0
 
 
+@pytest.mark.parametrize("args", [["--trials", "0"], ["--trials", "-3"], ["--n", "0"],
+                                  ["--n", "-1"]])
+def test_benchmark_rejects_non_positive_counts(runner, args):
+    result = runner.invoke(main, ["benchmark", *args])
+    assert result.exit_code == 2
+    assert "Invalid value" in result.stderr
+    assert "Traceback" not in result.output
+
+
 def test_enroll_and_auth_flow(runner, tmp_path):
     svc = VaultStoreService(FileVaultStore(tmp_path / "vaults"), port=0)
     with svc:

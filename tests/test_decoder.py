@@ -2,6 +2,7 @@
 
 import dataclasses
 import itertools
+import math
 import random
 
 import pytest
@@ -53,10 +54,10 @@ def test_random_generation_covers_all_subsets():
 
 
 def test_random_generation_capacity_error():
-    pts = [VaultPoint(i, 0) for i in range(40)]
-    tight = SubsetStrategy(RANDOM_GENERATION, subset_budget=10_000)
+    pts = [VaultPoint(i, 0) for i in range(30)]
+    assert math.comb(30, 9) > decoder.SUBSET_BUDGET  # 14.3M, refused before materializing
     with pytest.raises(CapacityError):
-        generate_subsets(pts, 13, tight, random.Random(2))  # C(40,13) is ~12e9
+        generate_subsets(pts, 9, SubsetStrategy(RANDOM_GENERATION), random.Random(2))
 
 
 def test_random_selection_draw_count_and_cap():

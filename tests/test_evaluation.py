@@ -3,6 +3,7 @@
 import csv
 import math
 import random
+from dataclasses import asdict
 
 import pytest
 
@@ -19,7 +20,6 @@ from fuzzyvault.evaluation import (
     load_dataset,
     make_synthetic_dataset,
     perturb_template,
-    report_to_dict,
     run_all_vs_all,
     run_fvc_protocol,
     synth_template,
@@ -179,7 +179,7 @@ def test_small_fvc_run_separates():
 def test_report_determinism():
     r1 = run_small(BUILTIN_CONFIGS["fvc-1"], seed=10)
     r2 = run_small(BUILTIN_CONFIGS["fvc-1"], seed=10)
-    assert report_to_dict(r1)["fmr"] == report_to_dict(r2)["fmr"]
+    assert asdict(r1)["fmr"] == asdict(r2)["fmr"]
     assert r1.genuine_failures == r2.genuine_failures
 
 

@@ -5,6 +5,7 @@ import random
 import pytest
 
 from fuzzyvault import gf32
+from gf32_oracle import _is_irreducible, find_irreducible
 
 
 # --- oracles: naive bit-twiddling implementations kept deliberately dumb ---
@@ -51,22 +52,22 @@ def eval_oracle(coeffs, x):
 
 def test_reduction_polynomial_is_pinned_search_result():
     # the constant is frozen; re-derive it so a silent edit cannot drift
-    assert gf32.find_irreducible(32) == gf32.REDUCTION_POLYNOMIAL == 0x10000008D
+    assert find_irreducible(32) == gf32.REDUCTION_POLYNOMIAL == 0x10000008D
     assert gf32.REDUCTION_POLYNOMIAL >> 32 == 1  # top bit x^32 set
 
 
 @pytest.mark.parametrize("degree,encoding", [(2, 0b111), (3, 0b1011)])
 def test_find_irreducible_known_small(degree, encoding):
-    assert gf32.find_irreducible(degree) == encoding
+    assert find_irreducible(degree) == encoding
 
 
 def test_find_irreducible_agrees_with_trial_division():
     for degree in range(2, 11):
-        found = gf32.find_irreducible(degree)
+        found = find_irreducible(degree)
         # first irreducible in encoding order, per the brute-force oracle
         for candidate in range(1 << degree, found + 1):
             expect = irreducible_by_trial_division(candidate)
-            assert gf32._is_irreducible(candidate) == expect
+            assert _is_irreducible(candidate) == expect
             if candidate < found:
                 assert not expect
 

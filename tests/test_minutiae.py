@@ -4,8 +4,10 @@ import math
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from fuzzyvault.minutiae import (
+    COORD_MAX,
     InsufficientMinutiae,
     Minutia,
     OutOfBounds,
@@ -45,6 +47,27 @@ def test_parse_rejects_garbage_with_line_number():
         parse_template("10 10 0 1\n10 ten 0 1\n", 400, 560)
     with pytest.raises(ParseError):
         parse_template("10 10\n", 400, 560)
+
+
+@st.composite
+def _templates(draw):
+    width = draw(st.integers(1, COORD_MAX + 1))
+    height = draw(st.integers(1, COORD_MAX + 1))
+    minutia = st.builds(Minutia, st.integers(0, width - 1), st.integers(0, height - 1),
+                        st.floats(0.0, 360.0, exclude_max=True), st.integers(0, 10**6))
+    return Template(tuple(draw(st.lists(minutia, max_size=30))), width, height)
+
+
+@settings(max_examples=200, deadline=None)
+@given(template=_templates(), three_fields=st.booleans())
+def test_formatted_template_parses_back(template, three_fields):
+    if three_fields:  # quality left out: it reads back as 0
+        template = Template(tuple(Minutia(m.x, m.y, m.theta) for m in template.minutiae),
+                            template.width, template.height)
+    lines = [f"{m.x} {m.y} {m.theta!r}" + ("" if three_fields else f" {m.quality}")
+             for m in template.minutiae]
+    text = "\n".join(lines) + "\n"
+    assert parse_template(text, template.width, template.height) == template
 
 
 def test_parse_out_of_bounds():
@@ -132,6 +155,17 @@ def test_encode_decode_round_trip():
         assert (back.x, back.y) == (m.x, m.y)
         assert abs(back.theta - m.theta) < step
         assert back.quality == 0
+
+
+@settings(max_examples=300, deadline=None)
+@given(x=st.integers(0, COORD_MAX), y=st.integers(0, COORD_MAX),
+       theta_q=st.integers(0, THETA_STEPS - 1))
+def test_encode_decode_round_trip_on_the_grid(x, y, theta_q):
+    m = Minutia(x, y, theta_q * 360.0 / THETA_STEPS)
+    rep = encode_minutia(m)
+    assert 0 <= rep < 1 << 32
+    assert decode_minutia(rep) == m
+    assert encode_minutia(decode_minutia(rep)) == rep
 
 
 def test_encode_rejects_out_of_range():

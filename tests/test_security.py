@@ -11,10 +11,7 @@ from fuzzyvault.security import (
     DegreeTooHigh,
     RegimeViolation,
     SecurityModel,
-    bit_security,
     estimate,
-    expected_attempts,
-    expected_time,
     monotonicity_report,
     simulate_attack,
     subset_counts,
@@ -31,12 +28,12 @@ def test_subset_counts_closed_form():
 
 
 def test_expected_attempts_published_value_n8():
-    e = expected_attempts(SecurityModel(35, 300, 8))
+    e = estimate(SecurityModel(35, 300, 8)).expected_attempts
     assert abs(float(e) - 1.86e9) / 1.86e9 < 0.01
 
 
 def test_expected_attempts_published_value_n12():
-    e = expected_attempts(SecurityModel(35, 300, 12))
+    e = estimate(SecurityModel(35, 300, 12)).expected_attempts
     assert abs(float(e) - 6e13) / 6e13 < 0.05
 
 
@@ -44,13 +41,13 @@ def test_expected_attempts_exact_rational_identity():
     for g, c, n in [(35, 300, 8), (30, 340, 8), (5, 20, 2), (10, 40, 3)]:
         model = SecurityModel(g, c, n)
         v_s, g_s, _ = subset_counts(model)
-        e = expected_attempts(model)
+        e = estimate(model).expected_attempts
         assert e * (g_s + 1) == v_s + 1  # no float round-off anywhere
         assert 1 <= e <= v_s
 
 
 def test_no_chaff_means_one_attempt():
-    assert expected_attempts(SecurityModel(30, 0, 8)) == 1
+    assert estimate(SecurityModel(30, 0, 8)).expected_attempts == 1
 
 
 def test_degree_too_high():
@@ -58,29 +55,32 @@ def test_degree_too_high():
         subset_counts(SecurityModel(8, 300, 8))  # needs n+1 = 9 genuine
 
 
+def expected_seconds(g, c, n, seconds):
+    return estimate(SecurityModel(g, c, n, interpolation_seconds=seconds)).expected_seconds
+
+
 def test_expected_time_scales_linearly():
-    base = expected_time(SecurityModel(35, 300, 8, interpolation_seconds=0.01))
+    base = expected_seconds(35, 300, 8, 0.01)
     assert abs(base - 1.86e7) / 1.86e7 < 0.01
-    assert expected_time(SecurityModel(35, 300, 8, interpolation_seconds=0.02)) == 2 * base
-    assert expected_time(SecurityModel(30, 0, 8, interpolation_seconds=0.01)) == 0.01
+    assert expected_seconds(35, 300, 8, 0.02) == 2 * base
+    assert expected_seconds(30, 0, 8, 0.01) == 0.01
 
 
 def test_expected_time_requires_measurement():
-    with pytest.raises(ValueError):
-        expected_time(SecurityModel(35, 300, 8))
+    assert estimate(SecurityModel(35, 300, 8)).expected_seconds is None
 
 
 def test_bit_security_published_values():
-    bits8 = bit_security(SecurityModel(35, 300, 8))
+    bits8 = estimate(SecurityModel(35, 300, 8)).bit_security
     assert round(bits8) in (30, 31)
     assert abs(bits8 - 30.8) < 0.1
-    bits12 = bit_security(SecurityModel(35, 300, 12))
+    bits12 = estimate(SecurityModel(35, 300, 12)).bit_security
     assert round(bits12) == 46
     assert abs(bits12 - 45.8) < 0.15
 
 
 def test_bit_security_zero_when_one_attempt():
-    assert bit_security(SecurityModel(30, 0, 8)) == 0.0
+    assert estimate(SecurityModel(30, 0, 8)).bit_security == 0.0
 
 
 def test_estimate_bundles_consistent_fields():

@@ -5,10 +5,12 @@ import json
 import random
 import threading
 import time
+from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from urllib.parse import urlparse
 
 import pytest
 import requests
+from hypothesis import given, settings, strategies as st
 
 from fuzzyvault.aligner import MatchParams
 from fuzzyvault.client import UnknownUser, enroll, verify
@@ -73,12 +75,38 @@ def test_schema_rejects_surprise_keys():
         validate_document_dict(data, require_id=True)
 
 
-@pytest.mark.parametrize("user_id", ["", "a b", "x/../y", "u" * 65, 7, None])
+@pytest.mark.parametrize("user_id", ["", "a b", "x/../y", "u" * 65, 7, None, "..", ".", "bob\n"])
 def test_schema_rejects_bad_user_ids(user_id):
     data = document_to_dict(make_doc(object_id="x"))
     data["user_id"] = user_id
     with pytest.raises(DocumentInvalid):
         validate_document_dict(data, require_id=True)
+
+
+# Any JSON value, and objects with the document's keys holding any JSON
+# value or one close to a valid field, so every check gets reached.
+_json = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(),
+    lambda inner: st.lists(inner) | st.dictionaries(st.text(), inner),
+    max_leaves=20,
+)
+_document_like = st.fixed_dictionaries(
+    {
+        "user_id": _json | st.from_regex(r"[A-Za-z0-9._-]{1,65}", fullmatch=True),
+        "n": _json | st.integers(-1, 4),
+        "points": _json | st.lists(st.lists(st.integers(-1, 1 << 32), min_size=2, max_size=2)),
+    },
+    optional={"id": _json | st.text(min_size=1)},
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=_json | _document_like, require_id=st.booleans())
+def test_schema_accepts_or_rejects_any_json_without_crashing(data, require_id):
+    try:
+        validate_document_dict(data, require_id)
+    except DocumentInvalid:
+        pass
 
 
 def test_schema_rejects_malformed_points():
@@ -148,8 +176,9 @@ def test_store_many_docs_one_user(store):
 
 
 def test_store_rejects_invalid_user_on_fetch(store):
-    with pytest.raises(DocumentInvalid):
-        store.fetch("../../etc")
+    for user_id in ("../../etc", "..", ".", "bob\n"):
+        with pytest.raises(DocumentInvalid):
+            store.fetch(user_id)
 
 
 def test_file_store_layout_and_atomicity(tmp_path):
@@ -160,6 +189,21 @@ def test_file_store_layout_and_atomicity(tmp_path):
     assert path.is_file()
     assert not list(root.rglob("*.tmp"))  # temp files never survive
     validate_document_dict(json.loads(path.read_text()), require_id=True)
+
+
+def test_file_store_reaps_stale_temp_files(tmp_path):
+    root = tmp_path / "vaults"
+    object_id = FileVaultStore(root).put(make_doc(user_id="bob"))
+    stale = root / "bob" / ".deadbeef.tmp"  # a writer crashed before os.replace
+    stale.write_text("{ half")
+    kept = [root / "bob" / f"{object_id}.json", root / "bob" / ".hidden.json",
+            root / "bob" / "notes.tmp"]
+    for path in kept[1:]:
+        path.write_text("{}")
+    store = FileVaultStore(root)
+    assert not stale.exists()
+    assert all(path.exists() for path in kept)
+    assert [d.object_id for d in store.fetch("bob")] == [object_id]
 
 
 def test_file_store_skips_dotfiles(tmp_path):
@@ -277,6 +321,17 @@ def test_service_unknown_path_and_missing_query(service):
     svc, _ = service
     assert requests.get(f"{svc.url}/nope", timeout=5).status_code == 404
     assert requests.get(f"{svc.url}/vaults", timeout=5).status_code == 400
+
+
+def test_service_refuses_dot_user_ids(service, tmp_path):
+    svc, _ = service
+    payload = document_to_dict(make_doc(user_id=".."))
+    assert requests.post(f"{svc.url}/vaults", json=payload, timeout=5).status_code == 400
+    for user_id in ("..", "."):
+        resp = requests.get(f"{svc.url}/vaults", params={"user_id": user_id}, timeout=5)
+        assert resp.status_code == 400
+    assert [p.name for p in tmp_path.iterdir()] == ["vaults"]
+    assert not list((tmp_path / "vaults").iterdir())  # nothing written inside either
 
 
 @pytest.mark.parametrize("length", ["abc", "-5"])
@@ -468,6 +523,63 @@ def test_client_keeps_files_when_store_unreachable(tmp_path):
         verify(probe_path, "erin", dead, params,
                MatchParams(12, 12, 12, 15), ITERATIVE, random.Random(85))
     assert probe_path.exists()  # no decision was reached
+
+
+class _CannedReply(BaseHTTPRequestHandler):
+    """Answers every request with the server's canned (status, body)."""
+
+    def log_message(self, fmt, *args):
+        pass
+
+    def _answer(self):
+        self.rfile.read(int(self.headers.get("Content-Length") or 0))
+        status, body = self.server.reply
+        self.send_response(status)
+        self.send_header("Content-Type", "application/json")
+        self.send_header("Content-Length", str(len(body)))
+        self.end_headers()
+        self.wfile.write(body)
+
+    do_GET = do_POST = _answer
+
+
+@pytest.fixture
+def canned():
+    server = ThreadingHTTPServer(("127.0.0.1", 0), _CannedReply)
+    server.url = f"http://127.0.0.1:{server.server_address[1]}"
+    thread = threading.Thread(target=server.serve_forever, args=(0.05,), daemon=True)
+    thread.start()
+    yield server
+    server.shutdown()
+    server.server_close()
+    thread.join(timeout=5)
+    assert not thread.is_alive()
+
+
+@pytest.mark.parametrize("status,body,error", [
+    (200, b"[]", StorageUnavailable),
+    (200, b'{"vaults": 5}', StorageUnavailable),
+    (200, b"{ not json", StorageUnavailable),
+    (400, b"[]", DocumentInvalid),
+])
+def test_client_malformed_vault_reply_keeps_probe(tmp_path, canned, status, body, error):
+    canned.reply = (status, body)
+    probe_path = tmp_path / "probe.xyt"
+    write_template(probe_path, synth_template(106, 40))
+    with pytest.raises(error):
+        verify(probe_path, "lena", canned.url, small_params(),
+               MatchParams(12, 12, 12, 15), ITERATIVE, random.Random(107))
+    assert probe_path.exists()  # no decision was reached
+
+
+@pytest.mark.parametrize("body", [b"{}", b"[]", b'{"object_id": 7}', b'{"object_id": ""}'])
+def test_client_unacknowledged_enroll_keeps_template(tmp_path, canned, body):
+    canned.reply = (201, body)
+    template_path = tmp_path / "enroll.xyt"
+    write_template(template_path, synth_template(108, 40))
+    with pytest.raises(StorageUnavailable, match="not acknowledged|not a JSON object"):
+        enroll(template_path, "mona", canned.url, small_params(), random.Random(109))
+    assert template_path.exists()  # retriable: the template survives
 
 
 def test_client_multiple_vaults_disjunction(tmp_path, live):
