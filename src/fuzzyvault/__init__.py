@@ -7,7 +7,7 @@ polynomial interpolation plus a CRC check.  Includes the attack-cost
 analysis, an accuracy harness and a small enroll/verify service.
 """
 
-from .aligner import MatchParams, build_geometric_table
+from .aligner import MatchParams
 from .decoder import (
     DEFAULT_STRATEGY,
     ITERATIVE_SELECTION,
@@ -26,7 +26,6 @@ from .evaluation import (
     Finger,
     make_synthetic_dataset,
     perturb_template,
-    run_all_vs_all,
     run_fvc_protocol,
     synth_template,
 )
@@ -44,7 +43,6 @@ from .security import (
     AttackEstimate,
     SecurityModel,
     estimate,
-    monotonicity_report,
     simulate_attack,
 )
 from .vault import (
@@ -83,16 +81,13 @@ __all__ = [
     "Vault",
     "VaultParams",
     "VaultPoint",
-    "build_geometric_table",
     "decode_vault",
     "encode_vault",
     "estimate",
     "make_synthetic_dataset",
-    "monotonicity_report",
     "parse_template",
     "perturb_template",
     "read_template",
-    "run_all_vs_all",
     "run_fvc_protocol",
     "select_minutiae",
     "simulate_attack",

@@ -35,17 +35,17 @@ from .decoder import (
 )
 from .evaluation import (
     BUILTIN_CONFIGS,
-    DatasetTooSmall,
+    all_vs_all_pairs,
+    fvc_pairs,
     load_dataset,
     make_synthetic_dataset,
-    run_all_vs_all,
     run_fvc_protocol,
     write_report_csv,
 )
-from .minutiae import InsufficientMinutiae, OutOfBounds, ParseError, read_template
-from .security import DegreeTooHigh, SecurityModel, estimate
+from .minutiae import InsufficientMinutiae, read_template
+from .security import SecurityModel, estimate
 from .service import VaultStoreService
-from .store import DocumentInvalid, FileVaultStore, MemoryVaultStore, StorageUnavailable
+from .store import FileVaultStore, MemoryVaultStore, StorageUnavailable
 from .vault import (
     ChaffExhausted,
     VaultParams,
@@ -55,18 +55,9 @@ from .vault import (
     vault_to_dict,
 )
 
-_USAGE_ERRORS = (
-    ParseError,
-    OutOfBounds,
-    InsufficientMinutiae,
-    ChaffExhausted,
-    DocumentInvalid,
-    StorageUnavailable,
-    DatasetTooSmall,
-    DegreeTooHigh,
-    ValueError,
-    OSError,
-)
+# Typed errors any subcommand may end in; the package's own input and
+# schema errors are ValueError subclasses.
+_USAGE_ERRORS = (InsufficientMinutiae, ChaffExhausted, StorageUnavailable, ValueError, OSError)
 
 
 def _fail(exc) -> None:
@@ -80,7 +71,17 @@ def _make_strategy(name: str, cap: int | None) -> SubsetStrategy:
     return SubsetStrategy(name, iteration_cap=cap)
 
 
-@click.group()
+class _Group(click.Group):
+    """Ends every subcommand that raises one of _USAGE_ERRORS with exit 2."""
+
+    def invoke(self, ctx):
+        try:
+            return super().invoke(ctx)
+        except _USAGE_ERRORS as exc:
+            _fail(exc)
+
+
+@click.group(cls=_Group)
 def main():
     """Fingerprint fuzzy vaults: encode, match, analyze, serve."""
 
@@ -102,13 +103,10 @@ def main():
 def encode(template_path, out_path, degree, genuine, chaff, pd, width, height, seed, secret_out):
     """Lock a minutiae template into a vault file."""
     rng = random.Random(seed)
-    try:
-        params = VaultParams(degree, genuine, chaff, pd, width, height)
-        template = read_template(template_path, width, height)
-        vault, secret = encode_vault(template, params, rng)
-        Path(out_path).write_text(json.dumps(vault_to_dict(vault), indent=2) + "\n")
-    except _USAGE_ERRORS as exc:
-        _fail(exc)
+    params = VaultParams(degree, genuine, chaff, pd, width, height)
+    template = read_template(template_path, width, height)
+    vault, secret = encode_vault(template, params, rng)
+    Path(out_path).write_text(json.dumps(vault_to_dict(vault), indent=2) + "\n")
     if secret_out:
         Path(secret_out).write_text(secret.hex() + "\n")
     else:
@@ -134,13 +132,10 @@ def verify(vault_path, probe_path, x_thres, y_thres, theta_thres, basis_thres,
     Exit 0 on match, 1 on non-match, 2 on error.
     """
     rng = random.Random(seed)
-    try:
-        vault = vault_from_dict(json.loads(Path(vault_path).read_text()))
-        probe = read_template(probe_path, vault.params.width, vault.params.height)
-        match_params = MatchParams(x_thres, y_thres, theta_thres, basis_thres)
-        result = decode_vault(vault, probe, match_params, _make_strategy(strategy_name, cap), rng)
-    except _USAGE_ERRORS as exc:
-        _fail(exc)
+    vault = vault_from_dict(json.loads(Path(vault_path).read_text()))
+    probe = read_template(probe_path, vault.params.width, vault.params.height)
+    match_params = MatchParams(x_thres, y_thres, theta_thres, basis_thres)
+    result = decode_vault(vault, probe, match_params, _make_strategy(strategy_name, cap), rng)
     if stats:
         click.echo(json.dumps({
             "matched": result.matched,
@@ -161,10 +156,7 @@ def verify(vault_path, probe_path, x_thres, y_thres, theta_thres, basis_thres,
               help="measured seconds per unlock attempt (see: fv benchmark)")
 def security(genuine, chaff, degree, interp_seconds):
     """Analytic brute-force cost of a vault shape, as JSON."""
-    try:
-        est = estimate(SecurityModel(genuine, chaff, degree, interp_seconds))
-    except _USAGE_ERRORS as exc:
-        _fail(exc)
+    est = estimate(SecurityModel(genuine, chaff, degree, interp_seconds))
     try:
         attempts = float(est.expected_attempts)
     except OverflowError:
@@ -232,26 +224,23 @@ def eval_cmd(dataset_dir, synthetic_spec, protocol, config_name, seed, out_path,
     if (dataset_dir is None) == (synthetic_spec is None):
         _fail("pass exactly one of --dataset and --synthetic")
     cfg = BUILTIN_CONFIGS[config_name]
-    try:
-        if dataset_dir is not None:
-            dataset = load_dataset(dataset_dir, width, height)
-        else:
-            fingers, captures = _parse_synthetic(synthetic_spec)
-            dataset = make_synthetic_dataset(
-                fingers, captures, minutia_count=minutiae, width=width, height=height, seed=seed
-            )
-        runner = run_fvc_protocol if protocol == "fvc" else run_all_vs_all
-        report = runner(
-            dataset,
-            cfg.vault_params(width, height),
-            cfg.match_params(),
-            rng=random.Random(seed),
-            dry_run=dry_run,
+    if dataset_dir is not None:
+        dataset = load_dataset(dataset_dir, width, height)
+    else:
+        fingers, captures = _parse_synthetic(synthetic_spec)
+        dataset = make_synthetic_dataset(
+            fingers, captures, minutia_count=minutiae, width=width, height=height, seed=seed
         )
-        if out_path:
-            write_report_csv(report, out_path)
-    except _USAGE_ERRORS as exc:
-        _fail(exc)
+    report = run_fvc_protocol(
+        dataset,
+        cfg.vault_params(width, height),
+        cfg.match_params(),
+        rng=random.Random(seed),
+        dry_run=dry_run,
+        pairs=fvc_pairs if protocol == "fvc" else all_vs_all_pairs,
+    )
+    if out_path:
+        write_report_csv(report, out_path)
     click.echo(json.dumps(asdict(report), indent=2))
 
 
@@ -275,8 +264,6 @@ def enroll(user_id, template_path, server, config_name, width, height, seed):
         )
     except InsufficientMinutiae as exc:
         _fail(f"{exc} (rescan the finger and retry)")
-    except _USAGE_ERRORS as exc:
-        _fail(exc)
     click.echo(object_id)
 
 
@@ -313,8 +300,6 @@ def auth(user_id, probe_path, server, config_name, strategy_name, cap, width, he
     except UnknownUser as exc:
         click.echo(f"unknown user: {exc}", err=True)
         sys.exit(3)
-    except _USAGE_ERRORS as exc:
-        _fail(exc)
     click.echo("accept" if accepted else "reject")
     sys.exit(0 if accepted else 1)
 
@@ -324,16 +309,13 @@ def auth(user_id, probe_path, server, config_name, strategy_name, cap, width, he
               default=None, help="directory for vault files (env: FV_STORE_ROOT)")
 @click.option("--memory", "use_memory", is_flag=True, help="volatile in-process store")
 @click.option("--host", default="127.0.0.1", show_default=True)
-@click.option("--port", default=8088, show_default=True)
+@click.option("--port", default=8088, show_default=True, type=click.IntRange(0, 65535))
 def serve(store_root, use_memory, host, port):
     """Run the vault store service in the foreground."""
     if use_memory == (store_root is not None):
         _fail("pass exactly one of --store-root and --memory")
-    try:
-        store = MemoryVaultStore() if use_memory else FileVaultStore(store_root)
-        service = VaultStoreService(store, host, port)
-    except _USAGE_ERRORS as exc:
-        _fail(exc)
+    store = MemoryVaultStore() if use_memory else FileVaultStore(store_root)
+    service = VaultStoreService(store, host, port)
     click.echo(f"vault store listening on {service.url}", err=True)
     try:
         service.serve_forever()

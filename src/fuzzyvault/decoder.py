@@ -19,7 +19,7 @@ import time
 import zlib
 from dataclasses import dataclass
 from random import Random
-from typing import Iterator, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -103,33 +103,19 @@ def generate_subsets(
         raise ArityError(f"{m} candidates cannot form subsets of size {size}")
     if strategy.variant != ITERATIVE_SELECTION and rng is None:
         raise ValueError(f"{strategy.variant} needs an rng")
-    cap = strategy.iteration_cap
-
     if strategy.variant == ITERATIVE_SELECTION:
-        stream: Iterator[tuple[VaultPoint, ...]] = itertools.combinations(candidates, size)
-        if cap is not None:
-            stream = itertools.islice(stream, cap)
-        return stream
-
-    total = math.comb(m, size)
-    if strategy.variant == RANDOM_GENERATION:
+        stream: Iterable[tuple[VaultPoint, ...]] = itertools.combinations(candidates, size)
+    elif strategy.variant == RANDOM_GENERATION:
+        total = math.comb(m, size)
         if total > SUBSET_BUDGET:
             raise CapacityError(
                 f"{total} subsets exceed the materialization budget of {SUBSET_BUDGET}"
             )
-        subsets = list(itertools.combinations(candidates, size))
-        rng.shuffle(subsets)
-        if cap is not None:
-            subsets = subsets[:cap]
-        return iter(subsets)
-
-    count = total if cap is None else min(total, cap)
-
-    def draw():
-        for _ in range(count):
-            yield tuple(rng.sample(candidates, size))
-
-    return draw()
+        stream = list(itertools.combinations(candidates, size))
+        rng.shuffle(stream)
+    else:
+        stream = (tuple(rng.sample(candidates, size)) for _ in range(math.comb(m, size)))
+    return itertools.islice(stream, strategy.iteration_cap)
 
 
 def try_unlock(subset: Sequence[VaultPoint], degree: int) -> bytes | None:

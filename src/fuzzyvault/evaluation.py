@@ -1,13 +1,13 @@
-"""Synthetic fingerprint datasets, capture perturbation and accuracy drivers.
+"""Synthetic fingerprint datasets, capture perturbation and the accuracy runner.
 
-The drivers implement the two standard comparison protocols over a
-dataset of F fingers x K captures:
+run_fvc_protocol runs either of two standard comparison protocols over
+a dataset of F fingers x K captures, picked by its pair function:
 
-* fvc: genuine score per finger over all unordered capture pairs
-  (F * C(K, 2) comparisons) and impostor score over unordered pairs of
-  first captures (C(F, 2) comparisons).
-* all-vs-all: the same genuine pairs plus every cross-finger capture
-  pair.
+* fvc (fvc_pairs): genuine score per finger over all unordered capture
+  pairs (F * C(K, 2) comparisons) and impostor score over unordered
+  pairs of first captures (C(F, 2) comparisons).
+* all-vs-all (all_vs_all_pairs): the same genuine pairs plus every
+  cross-finger capture pair.
 
 For each pair the first template is encoded into a fresh vault and the
 second is decoded against it, so FNMR counts genuine pairs that fail to
@@ -22,6 +22,7 @@ import random
 import time
 from dataclasses import dataclass, asdict
 from pathlib import Path
+from typing import Callable
 
 from .aligner import MatchParams
 from .decoder import DEFAULT_STRATEGY, SubsetStrategy, decode_vault
@@ -272,82 +273,6 @@ def _require_protocol_shape(dataset: Dataset):
         raise DatasetTooSmall("need at least 2 captures per finger")
 
 
-def _run_pairs(
-    dataset: Dataset,
-    pairs: tuple[list[Pair], list[Pair]],
-    vault_params: VaultParams,
-    match_params: MatchParams,
-    strategy: SubsetStrategy,
-    rng: random.Random,
-    dry_run: bool,
-) -> AccuracyReport:
-    genuine_pairs, impostor_pairs = pairs
-    if dry_run:
-        return AccuracyReport(
-            fmr=0.0,
-            fnmr=0.0,
-            genuine_comparisons=len(genuine_pairs),
-            impostor_comparisons=len(impostor_pairs),
-            genuine_failures=0,
-            impostor_failures=0,
-            mean_encode_seconds=0.0,
-            mean_decode_seconds=0.0,
-            mean_total_seconds=0.0,
-        )
-
-    encode_times: list[float] = []
-    decode_times: list[float] = []
-
-    def compare(pair: Pair) -> bool | None:
-        (f1, c1), (f2, c2) = pair
-        reference = dataset.fingers[f1].captures[c1]
-        probe = dataset.fingers[f2].captures[c2]
-        try:
-            t0 = time.perf_counter()
-            vault, _ = encode_vault(reference, vault_params, rng)
-            t1 = time.perf_counter()
-            result = decode_vault(vault, probe, match_params, strategy, rng)
-            t2 = time.perf_counter()
-        except (InsufficientMinutiae, ChaffExhausted):
-            return None
-        encode_times.append(t1 - t0)
-        decode_times.append(t2 - t1)
-        return result.matched
-
-    genuine_fail = 0
-    false_rejects = 0
-    for pair in genuine_pairs:
-        matched = compare(pair)
-        if matched is None:
-            genuine_fail += 1
-        elif not matched:
-            false_rejects += 1
-
-    impostor_fail = 0
-    false_accepts = 0
-    for pair in impostor_pairs:
-        matched = compare(pair)
-        if matched is None:
-            impostor_fail += 1
-        elif matched:
-            false_accepts += 1
-
-    genuine_done = len(genuine_pairs) - genuine_fail
-    impostor_done = len(impostor_pairs) - impostor_fail
-    total = [e + d for e, d in zip(encode_times, decode_times)]
-    return AccuracyReport(
-        fmr=false_accepts / impostor_done if impostor_done else 0.0,
-        fnmr=false_rejects / genuine_done if genuine_done else 0.0,
-        genuine_comparisons=len(genuine_pairs),
-        impostor_comparisons=len(impostor_pairs),
-        genuine_failures=genuine_fail,
-        impostor_failures=impostor_fail,
-        mean_encode_seconds=sum(encode_times) / len(encode_times) if encode_times else 0.0,
-        mean_decode_seconds=sum(decode_times) / len(decode_times) if decode_times else 0.0,
-        mean_total_seconds=sum(total) / len(total) if total else 0.0,
-    )
-
-
 def run_fvc_protocol(
     dataset: Dataset,
     vault_params: VaultParams,
@@ -355,28 +280,53 @@ def run_fvc_protocol(
     strategy: SubsetStrategy = DEFAULT_STRATEGY,
     rng: random.Random | None = None,
     dry_run: bool = False,
+    pairs: Callable[[Dataset], tuple[list[Pair], list[Pair]]] = fvc_pairs,
 ) -> AccuracyReport:
-    """FMR/FNMR under the fvc protocol; dry_run only counts the pairs."""
+    """FMR/FNMR over the pairs ``pairs`` enumerates; dry_run only counts them.
+
+    ``fvc_pairs`` is the fvc protocol, ``all_vs_all_pairs`` the
+    all-vs-all one.  Every genuine pair runs before the first impostor
+    pair, each drawing on the one rng.
+    """
     _require_protocol_shape(dataset)
     if rng is None:
         rng = random.Random()
-    return _run_pairs(dataset, fvc_pairs(dataset), vault_params, match_params, strategy, rng, dry_run)
+    genuine_pairs, impostor_pairs = pairs(dataset)
+    skipped = [0, 0]  # [genuine, impostor] pairs whose encode or selection failed
+    wrong = [0, 0]  # [false rejects, false accepts]
+    encode_times: list[float] = []
+    decode_times: list[float] = []
+    batches = () if dry_run else ((False, genuine_pairs), (True, impostor_pairs))
+    for impostor, batch in batches:
+        for (f1, c1), (f2, c2) in batch:
+            try:
+                t0 = time.perf_counter()
+                vault, _ = encode_vault(dataset.fingers[f1].captures[c1], vault_params, rng)
+                t1 = time.perf_counter()
+                result = decode_vault(
+                    vault, dataset.fingers[f2].captures[c2], match_params, strategy, rng
+                )
+                t2 = time.perf_counter()
+            except (InsufficientMinutiae, ChaffExhausted):
+                skipped[impostor] += 1
+                continue
+            encode_times.append(t1 - t0)
+            decode_times.append(t2 - t1)
+            wrong[impostor] += result.matched == impostor
 
-
-def run_all_vs_all(
-    dataset: Dataset,
-    vault_params: VaultParams,
-    match_params: MatchParams,
-    strategy: SubsetStrategy = DEFAULT_STRATEGY,
-    rng: random.Random | None = None,
-    dry_run: bool = False,
-) -> AccuracyReport:
-    """FMR/FNMR with impostor comparisons over every cross-finger pair."""
-    _require_protocol_shape(dataset)
-    if rng is None:
-        rng = random.Random()
-    return _run_pairs(
-        dataset, all_vs_all_pairs(dataset), vault_params, match_params, strategy, rng, dry_run
+    genuine_done = len(genuine_pairs) - skipped[False]
+    impostor_done = len(impostor_pairs) - skipped[True]
+    total = [e + d for e, d in zip(encode_times, decode_times)]
+    return AccuracyReport(
+        fmr=wrong[True] / impostor_done if impostor_done else 0.0,
+        fnmr=wrong[False] / genuine_done if genuine_done else 0.0,
+        genuine_comparisons=len(genuine_pairs),
+        impostor_comparisons=len(impostor_pairs),
+        genuine_failures=skipped[False],
+        impostor_failures=skipped[True],
+        mean_encode_seconds=sum(encode_times) / len(encode_times) if encode_times else 0.0,
+        mean_decode_seconds=sum(decode_times) / len(decode_times) if decode_times else 0.0,
+        mean_total_seconds=sum(total) / len(total) if total else 0.0,
     )
 
 

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
 from random import Random
 from typing import Sequence
@@ -24,10 +24,6 @@ from .vault import Vault
 
 class DegreeTooHigh(ValueError):
     """Raised when degree + 1 exceeds the genuine count: no unlockable subset."""
-
-
-class RegimeViolation(ValueError):
-    """Raised outside the supported regime g >= 2 * (degree + 1)."""
 
 
 @dataclass(frozen=True)
@@ -89,60 +85,6 @@ def estimate(model: SecurityModel) -> AttackEstimate:
         expected_seconds=seconds,
         bit_security=math.log2(attempts.numerator) - math.log2(attempts.denominator),
     )
-
-
-@dataclass(frozen=True)
-class TrendRow:
-    parameter: str
-    below: Fraction | None  # expected attempts at parameter - 1, if evaluable
-    base: Fraction
-    above: Fraction  # expected attempts at parameter + 1
-
-
-def monotonicity_report(model: SecurityModel) -> list[TrendRow]:
-    """Expected attempts at the base point and one step along each parameter.
-
-    Confirms the directions that make the formula useful for sizing:
-    more genuine points make attacks cheaper, more chaff and higher
-    degree make them dearer.
-
-    Raises:
-        RegimeViolation: base point outside g >= 2 * (degree + 1).
-    """
-    k = model.degree + 1
-    if model.genuine_count < 2 * k:
-        raise RegimeViolation(
-            f"need genuine_count >= {2 * k} for degree {model.degree}, got {model.genuine_count}"
-        )
-    base = estimate(model).expected_attempts
-    rows = []
-
-    g_above = estimate(replace(model, genuine_count=model.genuine_count + 1)).expected_attempts
-    g_below = estimate(replace(model, genuine_count=model.genuine_count - 1)).expected_attempts
-    if model.chaff_count > 0 and not g_above < base < g_below:
-        raise AssertionError("expected attempts must fall as genuine_count grows")
-    rows.append(TrendRow("genuine_count", g_below, base, g_above))
-
-    c_above = estimate(replace(model, chaff_count=model.chaff_count + 1)).expected_attempts
-    c_below = None
-    if model.chaff_count >= 1:
-        c_below = estimate(replace(model, chaff_count=model.chaff_count - 1)).expected_attempts
-        if not c_below < base:
-            raise AssertionError("expected attempts must rise as chaff_count grows")
-    if not base < c_above:
-        raise AssertionError("expected attempts must rise as chaff_count grows")
-    rows.append(TrendRow("chaff_count", c_below, base, c_above))
-
-    n_above = estimate(replace(model, degree=model.degree + 1)).expected_attempts
-    n_below = None
-    if model.degree > 1:
-        n_below = estimate(replace(model, degree=model.degree - 1)).expected_attempts
-    if model.chaff_count > 0 and not base < n_above:
-        raise AssertionError("expected attempts must rise with the degree")
-    if n_below is not None and model.chaff_count > 0 and not n_below < base:
-        raise AssertionError("expected attempts must rise with the degree")
-    rows.append(TrendRow("degree", n_below, base, n_above))
-    return rows
 
 
 def simulate_attack(

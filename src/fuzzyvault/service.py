@@ -117,7 +117,7 @@ class VaultStoreService:
                 raw = self.rfile.read(length)
                 try:
                     data = json.loads(raw)
-                except json.JSONDecodeError:
+                except ValueError:  # bad JSON or bytes that are not UTF-8
                     self._reply(400, {"error": "body is not valid JSON"}, logged)
                     return
                 logged["request"] = data

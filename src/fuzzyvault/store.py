@@ -17,7 +17,14 @@ import uuid
 from dataclasses import dataclass
 from pathlib import Path
 
-from .vault import Vault, VaultParams, VaultPoint, check_point_pairs
+from .vault import (
+    Vault,
+    VaultParams,
+    VaultPoint,
+    check_integer,
+    check_keys,
+    check_point_pairs,
+)
 
 _USER_ID_RE = re.compile(r"[A-Za-z0-9._-]{1,64}")
 
@@ -88,34 +95,23 @@ def validate_document_dict(data, require_id: bool) -> None:
     """Reject anything that is not exactly a vault document.
 
     Raises DocumentInvalid with a reason; returning means the dict has
-    exactly the allowed keys and every field is well formed.
+    exactly the allowed keys (vault.check_keys) and every field is well
+    formed under the field rules local vault files share.
     """
-    if not isinstance(data, dict):
-        raise DocumentInvalid("document must be a JSON object")
-    expected = {"id", "user_id", "n", "points"} if require_id else {"user_id", "n", "points"}
-    got = set(data)
-    if got != expected:
-        extra, missing = got - expected, expected - got
-        parts = []
-        if missing:
-            parts.append(f"missing {sorted(missing)}")
-        if extra:
-            parts.append(f"unexpected {sorted(extra)}")
-        raise DocumentInvalid("bad document keys: " + ", ".join(parts))
-    if require_id:
-        oid = data["id"]
-        if not isinstance(oid, str) or not oid:
-            raise DocumentInvalid("id must be a non-empty string")
-    check_user_id(data["user_id"])
-    n = data["n"]
-    if not isinstance(n, int) or isinstance(n, bool) or n < 1:
-        raise DocumentInvalid("n must be an integer >= 1")
-    points = data["points"]
     try:
-        check_point_pairs(points)
+        keys = {"id", "user_id", "n", "points"} if require_id else {"user_id", "n", "points"}
+        check_keys(data, keys, "document")
+        if require_id and (not isinstance(data["id"], str) or not data["id"]):
+            raise ValueError("id must be a non-empty string")
+        check_user_id(data["user_id"])
+        check_integer(data["n"], "n")
+        if data["n"] < 1:
+            raise ValueError("n must be >= 1")
+        check_point_pairs(data["points"])
     except ValueError as exc:
         raise DocumentInvalid(str(exc)) from None
-    if len(points) < n + 1:
+    n = data["n"]
+    if len(data["points"]) < n + 1:
         raise DocumentInvalid(f"need at least {n + 1} points for degree {n}")
 
 

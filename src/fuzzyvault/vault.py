@@ -51,7 +51,7 @@ class VaultParams:
             raise ValueError("genuine_count must be at least degree + 1")
         if self.chaff_count < 0:
             raise ValueError("chaff_count must be >= 0")
-        if self.points_distance < 0:
+        if not self.points_distance >= 0:  # NaN fails too
             raise ValueError("points_distance must be >= 0")
         if self.width < 1 or self.height < 1:
             raise ValueError("image dimensions must be positive")
@@ -197,12 +197,33 @@ def genuine_indices(vault: Vault, secret: bytes) -> tuple[int, ...]:
     return tuple(i for i, pt in enumerate(vault.points) if gf32.poly_eval(coeffs, pt.X) == pt.Y)
 
 
+def check_keys(data, expected: set[str], what: str) -> None:
+    """Require a JSON object with exactly the expected keys.
+
+    The key rule of every vault format, local file or stored document: a
+    missing field is not defaulted and an extra one is not ignored.
+
+    Raises:
+        ValueError: names the missing and the unexpected keys.
+    """
+    if not isinstance(data, dict):
+        raise ValueError(f"{what} must be a JSON object")
+    missing, extra = expected - set(data), set(data) - expected
+    if missing or extra:
+        raise ValueError(f"bad {what} keys: missing {sorted(missing)}, unexpected {sorted(extra)}")
+
+
+def check_integer(value, name: str) -> None:
+    """Require an integer; bool is refused although Python counts it as one."""
+    if not isinstance(value, int) or isinstance(value, bool):
+        raise ValueError(f"{name} must be an integer")
+
+
 def check_point_pairs(pairs) -> None:
     """Require a JSON list of [X, Y] vault point pairs.
 
     The one point rule of every vault format, local file or stored
-    document: X and Y are integers in [0, 2^32).  Nothing is coerced, and
-    bool is refused although Python counts it as an integer.
+    document: X and Y are integers in [0, 2^32), checked by check_integer.
 
     Raises:
         ValueError: names the first entry that breaks the rule.
@@ -213,49 +234,54 @@ def check_point_pairs(pairs) -> None:
         if not isinstance(entry, list) or len(entry) != 2:
             raise ValueError(f"points[{i}] must be a [X, Y] pair")
         for coord in entry:
-            if not isinstance(coord, int) or isinstance(coord, bool):
-                raise ValueError(f"points[{i}] coordinates must be integers")
+            check_integer(coord, f"points[{i}] coordinates")
             if not 0 <= coord < _WORD_LIMIT:
                 raise ValueError(f"points[{i}] coordinates must fit in {WORD_BITS} bits")
 
 
+# Local vault file parameters, in file order: JSON key -> VaultParams field.
+_PARAM_KEYS = {
+    "n": "degree",
+    "g": "genuine_count",
+    "c": "chaff_count",
+    "pd": "points_distance",
+    "width": "width",
+    "height": "height",
+}
+
+
 def vault_to_dict(vault: Vault) -> dict:
     """JSON-ready form of a vault for local files; carries its parameters."""
-    p = vault.params
     return {
-        "params": {
-            "n": p.degree,
-            "g": p.genuine_count,
-            "c": p.chaff_count,
-            "pd": p.points_distance,
-            "width": p.width,
-            "height": p.height,
-        },
+        "params": {key: getattr(vault.params, field) for key, field in _PARAM_KEYS.items()},
         "points": [[pt.X, pt.Y] for pt in vault.points],
     }
 
 
-def vault_from_dict(data: dict) -> Vault:
-    """Inverse of vault_to_dict; points follow check_point_pairs, uncoerced.
+def vault_from_dict(data) -> Vault:
+    """Inverse of vault_to_dict, under the field rules of every vault format.
+
+    Both levels hold exactly the keys vault_to_dict writes (check_keys);
+    n, g, c, width and height are integers (check_integer), pd is a
+    number, and the points follow check_point_pairs.  Nothing is coerced.
 
     Raises:
         ValueError: the document is malformed or its point count does not
             match its parameters.
     """
     try:
+        check_keys(data, {"params", "points"}, "vault")
         raw = data["params"]
-        params = VaultParams(
-            degree=raw["n"],
-            genuine_count=raw["g"],
-            chaff_count=raw["c"],
-            points_distance=raw["pd"],
-            width=raw["width"],
-            height=raw["height"],
-        )
+        check_keys(raw, set(_PARAM_KEYS), "params")
+        for key in ("n", "g", "c", "width", "height"):
+            check_integer(raw[key], f"params.{key}")
+        if isinstance(raw["pd"], bool) or not isinstance(raw["pd"], (int, float)):
+            raise ValueError("params.pd must be a number")
+        params = VaultParams(**{field: raw[key] for key, field in _PARAM_KEYS.items()})
         check_point_pairs(data["points"])
-        points = tuple(VaultPoint(x, y) for x, y in data["points"])
-    except (KeyError, TypeError, ValueError) as exc:
+    except ValueError as exc:
         raise ValueError(f"malformed vault document: {exc}") from exc
+    points = tuple(VaultPoint(x, y) for x, y in data["points"])
     if len(points) != params.vault_size:
         raise ValueError(f"expected {params.vault_size} points, found {len(points)}")
     return Vault(params, points)

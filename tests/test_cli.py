@@ -103,6 +103,47 @@ def test_verify_malformed_vault_file_exits_two(runner, tmp_path):
     assert "Traceback" not in result.output
 
 
+def template_file(tmp_path):
+    template_path = tmp_path / "f.xyt"
+    write_template(template_path, synth_template(909, 60))
+    return template_path
+
+
+def unwritable_secret_out(runner, tmp_path):
+    return ["encode", "--template", str(template_file(tmp_path)), "--out",
+            str(tmp_path / "v.json"), "--secret-out", str(tmp_path / "missing" / "s.hex")]
+
+
+def nan_point_distance(runner, tmp_path):
+    return ["encode", "--template", str(template_file(tmp_path)), "--out",
+            str(tmp_path / "v.json"), "--pd", "nan"]
+
+
+def float_degree_vault(runner, tmp_path):
+    template_path, vault_path = template_file(tmp_path), tmp_path / "vault.json"
+    runner.invoke(main, ["encode", "--template", str(template_path),
+                         "--out", str(vault_path), "--seed", "1"])
+    data = json.loads(vault_path.read_text())
+    data["params"]["n"] = 8.0
+    vault_path.write_text(json.dumps(data))
+    return ["verify", "--vault", str(vault_path), "--probe", str(template_path)]
+
+
+@pytest.mark.parametrize("make_args, reason", [
+    (unwritable_secret_out, "s.hex"),
+    (nan_point_distance, "points_distance"),
+    (float_degree_vault, "params.n"),
+    (lambda runner, tmp_path: ["serve", "--memory", "--port", "70000"], "--port"),
+    (lambda runner, tmp_path: ["eval", "--synthetic", "x=1"], "--synthetic"),
+], ids=["secret-out", "pd-nan", "float-degree", "port", "synthetic"])
+def test_usage_errors_exit_two_without_traceback(runner, tmp_path, make_args, reason):
+    result = runner.invoke(main, make_args(runner, tmp_path))
+    assert result.exit_code == 2
+    assert isinstance(result.exception, SystemExit)
+    assert "error:" in result.stderr.lower() and reason in result.stderr
+    assert "Traceback" not in result.output
+
+
 def test_encode_error_exits_two(runner, tmp_path):
     template_path = tmp_path / "thin.xyt"
     write_template(template_path, synth_template(903, 10))  # too few minutiae
@@ -113,12 +154,16 @@ def test_encode_error_exits_two(runner, tmp_path):
 
 
 def test_eval_dry_run_counts(runner):
-    result = runner.invoke(main, ["eval", "--synthetic", "fingers=140,captures=12",
-                                  "--protocol", "fvc", "--dry-run", "--minutiae", "20"])
-    assert result.exit_code == 0, result.stderr
-    report = json.loads(result.stdout)
-    assert report["genuine_comparisons"] == 9240
-    assert report["impostor_comparisons"] == 9730
+    for protocol, shape, genuine, impostor in [
+        ("fvc", "fingers=140,captures=12", 9240, 9730),
+        ("all", "fingers=10,captures=3", 30, 405),  # C(30, 2) capture pairs minus 30 genuine
+    ]:
+        result = runner.invoke(main, ["eval", "--synthetic", shape,
+                                      "--protocol", protocol, "--dry-run", "--minutiae", "20"])
+        assert result.exit_code == 0, result.stderr
+        report = json.loads(result.stdout)
+        assert report["genuine_comparisons"] == genuine
+        assert report["impostor_comparisons"] == impostor
 
 
 def test_eval_small_run_with_csv(runner, tmp_path):

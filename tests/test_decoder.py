@@ -6,6 +6,7 @@ import math
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from aligner_oracle import EagerGeometricTable, dense_match_margins_many
 from fuzzyvault import decoder
@@ -17,6 +18,7 @@ from fuzzyvault.decoder import (
     ITERATIVE_SELECTION,
     RANDOM_GENERATION,
     RANDOM_SELECTION,
+    VARIANTS,
     SubsetStrategy,
     decode_vault,
     generate_subsets,
@@ -69,6 +71,33 @@ def test_random_selection_draw_count_and_cap():
         assert len(set(s)) == 3
     capped = SubsetStrategy(RANDOM_SELECTION, iteration_cap=5)
     assert len(list(generate_subsets(pts, 3, capped, random.Random(4)))) == 5
+
+
+def reference_subsets(pool, size, variant, cap, rng):
+    """Each variant's stream written out whole, then cut to the cap."""
+    if variant == RANDOM_SELECTION:
+        total = math.comb(len(pool), size)
+        draws = total if cap is None else min(total, cap)
+        return [tuple(rng.sample(pool, size)) for _ in range(draws)]
+    subsets = list(itertools.combinations(pool, size))
+    if variant == RANDOM_GENERATION:
+        rng.shuffle(subsets)
+    return subsets[:cap]
+
+
+@settings(max_examples=200, deadline=None)
+@given(variant=st.sampled_from(VARIANTS), m=st.integers(3, 8), data=st.data(),
+       seed=st.integers(0, 2**32))
+def test_subset_stream_and_rng_state_match_reference(variant, m, data, seed):
+    size = data.draw(st.integers(1, m))
+    cap = data.draw(st.sampled_from([None, 1, 2, math.comb(m, size)]))
+    pool = [VaultPoint(i, 0) for i in range(m)]
+    got_rng, want_rng = random.Random(seed), random.Random(seed)
+    strategy = SubsetStrategy(variant, iteration_cap=cap)
+    assert list(generate_subsets(pool, size, strategy, got_rng)) == reference_subsets(
+        pool, size, variant, cap, want_rng
+    )
+    assert got_rng.getstate() == want_rng.getstate()
 
 
 def test_random_variants_require_rng():

@@ -20,7 +20,6 @@ from fuzzyvault.evaluation import (
     load_dataset,
     make_synthetic_dataset,
     perturb_template,
-    run_all_vs_all,
     run_fvc_protocol,
     synth_template,
     write_report_csv,
@@ -112,7 +111,7 @@ def test_protocol_rejects_degenerate_datasets():
     with pytest.raises(DatasetTooSmall):
         run_fvc_protocol(shape_dataset(1, 3), None, None)
     with pytest.raises(DatasetTooSmall):
-        run_all_vs_all(shape_dataset(3, 1), None, None)
+        run_fvc_protocol(shape_dataset(3, 1), None, None, pairs=all_vs_all_pairs)
 
 
 def test_dry_run_counts_without_executing():

@@ -352,6 +352,14 @@ def test_service_rejects_malformed_content_length(service, length):
     assert (wire[-1]["method"], wire[-1]["status"]) == ("POST", 400)
 
 
+def test_service_rejects_body_that_is_not_utf8(service):
+    svc, _ = service
+    resp = requests.post(f"{svc.url}/vaults", data=b'{"user_id": "\xff"}', timeout=5)
+    assert resp.status_code == 400
+    assert set(resp.json()) == {"error"}
+    assert requests.get(f"{svc.url}/health", timeout=5).status_code == 200
+
+
 def test_service_stop_is_prompt():
     # serve_forever only notices shutdown between polls, so a long poll
     # interval would show here as up to that long per stop

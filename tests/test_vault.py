@@ -195,7 +195,9 @@ def test_chaff_y_values_stay_off_the_polynomial():
 def test_vault_dict_round_trip():
     rng = random.Random(16)
     vault, _ = encode_vault(synth_template(68, 60), params(), rng)
-    back = vault_from_dict(vault_to_dict(vault))
+    data = vault_to_dict(vault)
+    assert data["params"] == {"n": 8, "g": 30, "c": 340, "pd": 10.0, "width": 400, "height": 560}
+    back = vault_from_dict(data)
     assert back.params == vault.params and back.points == vault.points
 
 
@@ -219,6 +221,38 @@ def test_vault_from_dict_rejects_uncoerced_points(pair):
         vault_from_dict(data)
 
 
+DROP = object()
+
+
+@pytest.mark.parametrize("in_params, key, value", [
+    (True, "n", True),  # would read as degree 1
+    (True, "n", 8.0),
+    (True, "g", 30.0),
+    (True, "c", "340"),
+    (True, "width", 400.5),
+    (True, "height", None),
+    (True, "pd", float("nan")),
+    (True, "pd", True),
+    (True, "pd", "10"),
+    (True, "pd", DROP),
+    (True, "extra", 1),
+    (False, "extra", 1),
+    (False, "params", [8, 30]),
+    (False, "points", DROP),
+])
+def test_vault_from_dict_rejects_loose_fields(in_params, key, value):
+    # the key and field rules stored documents follow too: exact keys, no coercion
+    vault, _ = encode_vault(synth_template(71, 60), params(), random.Random(19))
+    data = vault_to_dict(vault)
+    target = data["params"] if in_params else data
+    if value is DROP:
+        del target[key]
+    else:
+        target[key] = value
+    with pytest.raises(ValueError, match="malformed vault document"):
+        vault_from_dict(data)
+
+
 def test_params_validation():
     with pytest.raises(ValueError):
         VaultParams(0, 30, 300, 10.0, 400, 560)
@@ -226,4 +260,6 @@ def test_params_validation():
         VaultParams(8, 8, 300, 10.0, 400, 560)  # g < n+1
     with pytest.raises(ValueError):
         VaultParams(8, 30, -1, 10.0, 400, 560)
+    with pytest.raises(ValueError):
+        VaultParams(8, 30, 340, float("nan"), 400, 560)
     assert VaultParams(8, 30, 340, 10.0, 400, 560).vault_size == 370
