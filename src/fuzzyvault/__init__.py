@@ -30,6 +30,7 @@ from .evaluation import (
     synth_template,
 )
 from .minutiae import (
+    ChaffExhausted,
     InsufficientMinutiae,
     Minutia,
     OutOfBounds,
@@ -46,7 +47,6 @@ from .security import (
     simulate_attack,
 )
 from .vault import (
-    ChaffExhausted,
     Vault,
     VaultParams,
     VaultPoint,

@@ -42,12 +42,11 @@ from .evaluation import (
     run_fvc_protocol,
     write_report_csv,
 )
-from .minutiae import InsufficientMinutiae, read_template
+from .minutiae import ChaffExhausted, InsufficientMinutiae, read_template
 from .security import SecurityModel, estimate
 from .service import VaultStoreService
 from .store import FileVaultStore, MemoryVaultStore, StorageUnavailable
 from .vault import (
-    ChaffExhausted,
     VaultParams,
     VaultPoint,
     encode_vault,
@@ -106,9 +105,14 @@ def encode(template_path, out_path, degree, genuine, chaff, pd, width, height, s
     params = VaultParams(degree, genuine, chaff, pd, width, height)
     template = read_template(template_path, width, height)
     vault, secret = encode_vault(template, params, rng)
-    Path(out_path).write_text(json.dumps(vault_to_dict(vault), indent=2) + "\n")
+    out = Path(out_path)
+    out.write_text(json.dumps(vault_to_dict(vault), indent=2) + "\n")
     if secret_out:
-        Path(secret_out).write_text(secret.hex() + "\n")
+        try:
+            Path(secret_out).write_text(secret.hex() + "\n")
+        except OSError:
+            out.unlink()  # a vault whose secret is lost must not outlive the command
+            raise
     else:
         click.echo(secret.hex())
 
@@ -137,14 +141,8 @@ def verify(vault_path, probe_path, x_thres, y_thres, theta_thres, basis_thres,
     match_params = MatchParams(x_thres, y_thres, theta_thres, basis_thres)
     result = decode_vault(vault, probe, match_params, _make_strategy(strategy_name, cap), rng)
     if stats:
-        click.echo(json.dumps({
-            "matched": result.matched,
-            "bases_tried": result.bases_tried,
-            "candidate_sets_evaluated": result.candidate_sets_evaluated,
-            "interpolations_performed": result.interpolations_performed,
-            "elapsed_seconds": result.elapsed_seconds,
-            "secret": result.secret.hex() if result.secret else None,
-        }))
+        record = {**asdict(result), "secret": result.secret.hex() if result.secret else None}
+        click.echo(json.dumps(record))
     sys.exit(0 if result.matched else 1)
 
 

@@ -26,10 +26,11 @@ from typing import Callable
 
 from .aligner import MatchParams
 from .decoder import DEFAULT_STRATEGY, SubsetStrategy, decode_vault
-from .minutiae import InsufficientMinutiae, Minutia, Template, read_template
-from .vault import ChaffExhausted, VaultParams, encode_vault
+from .minutiae import (ChaffExhausted, InsufficientMinutiae, Minutia, Template, place_spaced,
+                       read_template)
+from .vault import VaultParams, encode_vault
 
-DEFAULT_MIN_DISTANCE = 8.0  # generation floor between synthetic minutiae, px
+DEFAULT_MIN_DISTANCE = 8.0  # spacing between synthetic minutiae, px
 
 
 class DatasetTooSmall(ValueError):
@@ -114,35 +115,17 @@ BUILTIN_CONFIGS: dict[str, EvalConfig] = {
 }
 
 
-def synth_template(
-    seed: int,
-    minutia_count: int,
-    width: int = 400,
-    height: int = 560,
-    min_distance: float = DEFAULT_MIN_DISTANCE,
-) -> Template:
+def synth_template(seed: int, minutia_count: int, width: int = 400, height: int = 560) -> Template:
     """Deterministic random template: same seed, same template.
 
-    Coordinates are uniform in-bounds with pairwise distance at least
-    min_distance, orientations uniform, qualities uniform in [1, 100].
+    place_spaced puts the minutiae DEFAULT_MIN_DISTANCE apart, or raises
+    ChaffExhausted; orientations are uniform, qualities uniform in [1, 100].
     """
     rng = random.Random(seed)
-    placed: list[Minutia] = []
-    min_d2 = min_distance * min_distance
-    attempts = 10_000 * max(1, minutia_count)
-    while len(placed) < minutia_count:
-        attempts -= 1
-        if attempts < 0:
-            raise RuntimeError(
-                f"cannot place {minutia_count} minutiae {min_distance}px apart in {width}x{height}"
-            )
-        x = rng.randrange(width)
-        y = rng.randrange(height)
-        if any((x - m.x) ** 2 + (y - m.y) ** 2 < min_d2 for m in placed):
-            continue
-        theta = rng.uniform(0.0, 360.0) % 360.0
-        placed.append(Minutia(x, y, theta, rng.randint(1, 100)))
-    return Template(tuple(placed), width, height)
+    minutiae = place_spaced(
+        "synthetic minutia", minutia_count, width, height, DEFAULT_MIN_DISTANCE, rng,
+        lambda x, y: Minutia(x, y, rng.uniform(0.0, 360.0) % 360.0, rng.randint(1, 100)))
+    return Template(tuple(minutiae), width, height)
 
 
 def perturb_template(

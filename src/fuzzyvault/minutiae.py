@@ -1,4 +1,4 @@
-"""Minutia data model, template ingestion and the 32-bit minutia encoding.
+"""Minutia data model, template ingestion, placement and the 32-bit encoding.
 
 Templates arrive as ``.xyt`` text: one minutia per line as whitespace
 separated integers ``x y theta [quality]``.  A minutia packs into one
@@ -12,6 +12,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from pathlib import Path
+from random import Random
+from typing import Callable, Sequence
 
 COORD_MAX = 2047  # 11 bits for each coordinate
 THETA_STEPS = 1024  # 10 bits for orientation
@@ -19,6 +21,8 @@ THETA_STEPS = 1024  # 10 bits for orientation
 _X_SHIFT = 21
 _Y_SHIFT = 10
 _THETA_MASK = THETA_STEPS - 1
+
+CHAFF_ATTEMPTS = 10_000  # rejection draws place_spaced allows per minutia
 
 
 class ParseError(ValueError):
@@ -34,6 +38,10 @@ class InsufficientMinutiae(Exception):
 
     The operational answer is to capture the finger again.
     """
+
+
+class ChaffExhausted(RuntimeError):
+    """Raised when place_spaced finds no admissible draw for a point."""
 
 
 @dataclass(frozen=True)
@@ -101,23 +109,51 @@ def read_template(path, width: int, height: int) -> Template:
     return parse_template(Path(path).read_text(), width, height)
 
 
+def spaced(x: int, y: int, placed: Sequence[Minutia], distance: float) -> bool:
+    """True when (x, y) is at least ``distance`` from every placed minutia: the
+    one spacing rule of minutia selection, chaff and synthetic templates."""
+    d2 = distance * distance
+    return all((x - p.x) ** 2 + (y - p.y) ** 2 >= d2 for p in placed)
+
+
+def place_spaced(what: str, count: int, width: int, height: int, distance: float, rng: Random,
+                 finish: Callable[[int, int], Minutia | None],
+                 around: Sequence[Minutia] = ()) -> list[Minutia]:
+    """Place ``count`` minutiae, named ``what`` in errors, by rejection sampling.
+
+    A draw x = rng.randrange(width), y = rng.randrange(height) is rejected
+    unless spaced from ``around`` and every minutia placed before it;
+    ``finish(x, y)`` then draws the rest of the minutia from the same rng
+    and returns it, or None to reject the draw.  Raises ChaffExhausted
+    when a minutia finds no admissible draw in CHAFF_ATTEMPTS.
+    """
+    placed = list(around)
+    for i in range(count):
+        for _ in range(CHAFF_ATTEMPTS):
+            x, y = rng.randrange(width), rng.randrange(height)
+            if spaced(x, y, placed, distance) and (m := finish(x, y)) is not None:
+                break
+        else:
+            raise ChaffExhausted(f"cannot place {what} {i + 1} of {count} {distance:g} px apart "
+                                 f"in {width}x{height} within {CHAFF_ATTEMPTS} draws")
+        placed.append(m)
+    return placed[len(around):]
+
+
 def select_minutiae(template: Template, count: int, points_distance: float) -> list[Minutia]:
     """Pick ``count`` well-separated minutiae, best quality first.
 
     Greedy scan in descending quality (ties keep file order); a minutia is
-    accepted only if its distance to every already-accepted one is at
-    least ``points_distance``.
+    accepted only if it is spaced from every already-accepted one.
 
     Raises:
         InsufficientMinutiae: the scan ran out before reaching ``count``.
     """
     if count < 1:
         raise ValueError("count must be >= 1")
-    ranked = sorted(template.minutiae, key=lambda m: -m.quality)
-    min_d2 = points_distance * points_distance
     chosen: list[Minutia] = []
-    for m in ranked:
-        if all((m.x - c.x) ** 2 + (m.y - c.y) ** 2 >= min_d2 for c in chosen):
+    for m in sorted(template.minutiae, key=lambda m: -m.quality):
+        if spaced(m.x, m.y, chosen, points_distance):
             chosen.append(m)
             if len(chosen) == count:
                 return chosen

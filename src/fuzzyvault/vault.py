@@ -17,22 +17,16 @@ from random import Random
 from typing import Sequence
 
 from . import gf32
-from .minutiae import InsufficientMinutiae, Minutia, Template, encode_minutia, select_minutiae
+from .minutiae import (COORD_MAX, InsufficientMinutiae, Minutia, Template, encode_minutia,
+                       place_spaced, select_minutiae)
 
 WORD_BITS = 32
 _WORD_LIMIT = 1 << WORD_BITS
 WORD_BYTES = 4
 
-# Rejection-sampling attempts per chaff point before giving up.
-CHAFF_ATTEMPTS = 10_000
-
 
 class LengthMismatch(ValueError):
     """Raised when a coefficient bit string has the wrong length."""
-
-
-class ChaffExhausted(RuntimeError):
-    """Raised when chaff constraints cannot be satisfied by rejection sampling."""
 
 
 @dataclass(frozen=True)
@@ -51,10 +45,10 @@ class VaultParams:
             raise ValueError("genuine_count must be at least degree + 1")
         if self.chaff_count < 0:
             raise ValueError("chaff_count must be >= 0")
-        if not self.points_distance >= 0:  # NaN fails too
-            raise ValueError("points_distance must be >= 0")
-        if self.width < 1 or self.height < 1:
-            raise ValueError("image dimensions must be positive")
+        if not 0 <= self.points_distance < float("inf"):  # NaN fails too
+            raise ValueError("points_distance must be a finite number >= 0")
+        if not (1 <= self.width <= COORD_MAX + 1 and 1 <= self.height <= COORD_MAX + 1):
+            raise ValueError(f"image dimensions must be in [1, {COORD_MAX + 1}]")
 
     @property
     def vault_size(self) -> int:
@@ -118,41 +112,29 @@ def secret_polynomial(secret: bytes, degree: int) -> list[int]:
 def generate_chaff(genuine: Sequence[Minutia], params: VaultParams, rng: Random) -> list[Minutia]:
     """Draw chaff minutiae that blend in with the genuine ones.
 
-    Each chaff point is uniform in-bounds, keeps points_distance to every
-    vault minutia placed before it, encodes to a word at least half the
-    smallest genuine encoding (so chaff cannot be skimmed off the bottom
-    of the X range), and never collides with another vault encoding.
+    Each chaff point is placed by place_spaced (uniform in-bounds, spaced
+    from every vault minutia placed before it), encodes to a word at least
+    half the smallest genuine encoding (so chaff cannot be skimmed off the
+    bottom of the X range), and never collides with another vault encoding.
 
     Raises:
         ChaffExhausted: a point failed CHAFF_ATTEMPTS rejection draws.
     """
     if not genuine:
         raise ValueError("genuine minutiae required before placing chaff")
-    placed = [(m.x, m.y) for m in genuine]
     reps = {encode_minutia(m) for m in genuine}
     min_rep = min(reps)
-    min_d2 = params.points_distance**2
-    chaff: list[Minutia] = []
-    for _ in range(params.chaff_count):
-        for _ in range(CHAFF_ATTEMPTS):
-            x = rng.randrange(params.width)
-            y = rng.randrange(params.height)
-            if any((x - px) ** 2 + (y - py) ** 2 < min_d2 for px, py in placed):
-                continue
-            m = Minutia(x, y, rng.uniform(0.0, 360.0) % 360.0)
-            rep = encode_minutia(m)
-            if 2 * rep < min_rep or rep in reps:
-                continue
-            break
-        else:
-            raise ChaffExhausted(
-                f"no admissible chaff position after {CHAFF_ATTEMPTS} attempts "
-                f"(placed {len(chaff)} of {params.chaff_count})"
-            )
-        placed.append((x, y))
-        reps.add(rep)
-        chaff.append(m)
-    return chaff
+
+    def finish(x: int, y: int) -> Minutia | None:
+        m = Minutia(x, y, rng.uniform(0.0, 360.0) % 360.0)
+        rep = encode_minutia(m)
+        if 2 * rep >= min_rep and rep not in reps:
+            reps.add(rep)
+            return m
+        return None  # below the X floor or a collision
+
+    return place_spaced("chaff point", params.chaff_count, params.width, params.height,
+                        params.points_distance, rng, finish, around=genuine)
 
 
 def encode_vault(template: Template, params: VaultParams, rng: Random) -> tuple[Vault, bytes]:

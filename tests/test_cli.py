@@ -129,19 +129,39 @@ def float_degree_vault(runner, tmp_path):
     return ["verify", "--vault", str(vault_path), "--probe", str(template_path)]
 
 
+def inf_point_distance(runner, tmp_path):
+    return ["encode", "--template", str(template_file(tmp_path)), "--out",
+            str(tmp_path / "v.json"), "--pd", "inf"]
+
+
 @pytest.mark.parametrize("make_args, reason", [
     (unwritable_secret_out, "s.hex"),
     (nan_point_distance, "points_distance"),
+    (inf_point_distance, "points_distance"),
     (float_degree_vault, "params.n"),
     (lambda runner, tmp_path: ["serve", "--memory", "--port", "70000"], "--port"),
     (lambda runner, tmp_path: ["eval", "--synthetic", "x=1"], "--synthetic"),
-], ids=["secret-out", "pd-nan", "float-degree", "port", "synthetic"])
+    (lambda runner, tmp_path: ["eval", "--synthetic", "fingers=2,captures=2",
+                               "--width", "10", "--height", "10"], "synthetic minutia"),
+], ids=["secret-out", "pd-nan", "pd-inf", "float-degree", "port", "synthetic",
+        "synthetic-shape"])
 def test_usage_errors_exit_two_without_traceback(runner, tmp_path, make_args, reason):
     result = runner.invoke(main, make_args(runner, tmp_path))
     assert result.exit_code == 2
     assert isinstance(result.exception, SystemExit)
     assert "error:" in result.stderr.lower() and reason in result.stderr
     assert "Traceback" not in result.output
+
+
+@pytest.mark.parametrize("failing", ["out", "secret-out"])
+def test_encode_write_failure_leaves_no_file(runner, tmp_path, failing):
+    # the vault is useless without its secret, and the secret without its vault
+    paths = {"out": tmp_path / "v.json", "secret-out": tmp_path / "s.hex"}
+    paths[failing] = tmp_path / "missing" / paths[failing].name
+    result = runner.invoke(main, ["encode", "--template", str(template_file(tmp_path)),
+                                  "--out", str(paths["out"]), "--secret-out", str(paths["secret-out"])])
+    assert result.exit_code == 2
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["f.xyt"]
 
 
 def test_encode_error_exits_two(runner, tmp_path):

@@ -1,0 +1,79 @@
+"""One placement rule: selection, chaff and synthetic templates against the
+placement oracle, which keeps each as first written."""
+
+import random
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+import placement_oracle as oracle
+from fuzzyvault.evaluation import synth_template
+from fuzzyvault.minutiae import (
+    ChaffExhausted,
+    InsufficientMinutiae,
+    Minutia,
+    Template,
+    select_minutiae,
+)
+from fuzzyvault.vault import VaultParams, generate_chaff
+
+# Small images keep near-full placements and exhaustion cheap; the fixed
+# distances cover 0, the defaults and one larger than any diagonal here.
+_sizes = st.integers(1, 48)
+_distances = st.one_of(
+    st.sampled_from([0, 0.0, 1, 5, 8, 10.0, 14, 100.0]),
+    st.floats(0, 80, allow_nan=False),
+)
+
+
+@st.composite
+def _templates(draw, min_size=0):
+    width, height = draw(_sizes), draw(_sizes)
+    points = st.builds(Minutia, st.integers(0, width - 1), st.integers(0, height - 1),
+                       st.floats(0, 360, exclude_max=True), st.integers(0, 5))
+    return Template(tuple(draw(st.lists(points, min_size=min_size, max_size=24))), width, height)
+
+
+def _outcome(fn, rng, *args):
+    """fn's return value, or the type of the exception it raised, with the rng state after."""
+    try:
+        value = fn(*args)
+    except (ChaffExhausted, InsufficientMinutiae) as exc:
+        value = type(exc)
+    return value, None if rng is None else rng.getstate()
+
+
+@settings(max_examples=300, deadline=None)
+@given(template=_templates(), count=st.integers(1, 26), pd=_distances)
+def test_select_minutiae_matches_oracle(template, count, pd):
+    assert (_outcome(select_minutiae, None, template, count, pd)
+            == _outcome(oracle.select_minutiae, None, template, count, pd))
+
+
+@settings(max_examples=150, deadline=None)
+@given(template=_templates(min_size=1), chaff=st.integers(0, 40), pd=_distances,
+       seed=st.integers(0, 2**32))
+def test_generate_chaff_matches_oracle(template, chaff, pd, seed):
+    # c = 0, full images and pd past the diagonal all occur; exhaustion must
+    # come at the same draw, so the rng states after it agree too
+    params = VaultParams(1, 2, chaff, pd, template.width, template.height)
+    genuine = list(template.minutiae)
+    rng, ref_rng = random.Random(seed), random.Random(seed)
+    assert (_outcome(generate_chaff, rng, genuine, params, rng)
+            == _outcome(oracle.generate_chaff, ref_rng, genuine, params, ref_rng))
+
+
+@settings(max_examples=100, deadline=None)
+@given(seed=st.integers(0, 2**64), count=st.integers(0, 12), width=_sizes, height=_sizes)
+def test_synth_template_matches_oracle(seed, count, width, height):
+    try:
+        got = synth_template(seed, count, width, height)
+    except ChaffExhausted:
+        return  # the per-minutia budget may give up where the old total budget did not
+    assert got == oracle.synth_template(seed, count, width, height)
+
+
+def test_synth_template_fails_typed_on_impossible_shape():
+    with pytest.raises(ChaffExhausted, match="synthetic minutia 2 of 4 8 px apart in 3x3"):
+        synth_template(5, 4, 3, 3)
+

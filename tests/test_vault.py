@@ -8,9 +8,8 @@ import pytest
 
 from fuzzyvault import gf32
 from fuzzyvault.evaluation import synth_template
-from fuzzyvault.minutiae import InsufficientMinutiae, decode_minutia, encode_minutia
+from fuzzyvault.minutiae import ChaffExhausted, InsufficientMinutiae, decode_minutia, encode_minutia
 from fuzzyvault.vault import (
-    ChaffExhausted,
     LengthMismatch,
     Vault,
     VaultParams,
@@ -239,6 +238,7 @@ DROP = object()
     (False, "extra", 1),
     (False, "params", [8, 30]),
     (False, "points", DROP),
+    (True, "pd", float("inf")),  # what json.loads makes of Infinity
 ])
 def test_vault_from_dict_rejects_loose_fields(in_params, key, value):
     # the key and field rules stored documents follow too: exact keys, no coercion
@@ -262,4 +262,10 @@ def test_params_validation():
         VaultParams(8, 30, -1, 10.0, 400, 560)
     with pytest.raises(ValueError):
         VaultParams(8, 30, 340, float("nan"), 400, 560)
+    with pytest.raises(ValueError, match="points_distance"):
+        VaultParams(8, 30, 340, float("inf"), 400, 560)
+    for width, height in [(2049, 560), (400, 2049), (5000, 5000)]:  # past 11-bit coordinates
+        with pytest.raises(ValueError, match="image dimensions"):
+            VaultParams(8, 30, 340, 10.0, width, height)
+    assert VaultParams(8, 30, 340, 1000.0, 2048, 2048).vault_size == 370
     assert VaultParams(8, 30, 340, 10.0, 400, 560).vault_size == 370
