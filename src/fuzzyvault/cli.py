@@ -101,6 +101,8 @@ def main():
               help="write the bound secret (hex) to a file instead of stdout")
 def encode(template_path, out_path, degree, genuine, chaff, pd, width, height, seed, secret_out):
     """Lock a minutiae template into a vault file."""
+    if secret_out and Path(secret_out).resolve() == Path(out_path).resolve():
+        raise ValueError("--secret-out names the --out file; the secret would overwrite the vault")
     rng = random.Random(seed)
     params = VaultParams(degree, genuine, chaff, pd, width, height)
     template = read_template(template_path, width, height)

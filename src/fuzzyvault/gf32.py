@@ -8,12 +8,20 @@ encoding first), so every build works in the same field.
 
 2^32 elements rule out log/exp tables, so multiplication is a
 shift-and-xor loop and inversion runs the extended Euclidean algorithm
-on bit-packed polynomials.
+on bit-packed polynomials.  Evaluating one polynomial at many points
+(poly_eval_many, a vault's projection) runs the same algorithm in numpy,
+vectorised over the points.  Interpolation stays scalar: it handles
+only degree + 1 points, so a batch would be small, and a faster
+interpolator waits until the benchmark keeps its per-attempt records in
+bounded memory, since the attack workload's peak memory grows with the
+attempt rate (ROADMAP item 1).
 """
 
 from __future__ import annotations
 
 from typing import Sequence
+
+import numpy as np
 
 FIELD_BITS = 32
 FIELD_MASK = 0xFFFFFFFF
@@ -88,6 +96,32 @@ def poly_eval(coefficients: Sequence[int], x: int) -> int:
     for c in reversed(coefficients):
         acc = gf_mul(acc, x) ^ c
     return acc
+
+
+_BITS = np.arange(FIELD_BITS, dtype=np.uint64)
+
+
+def _fold(v: np.ndarray) -> np.ndarray:
+    """v with bits 32 and up folded down once by x^32 = x^7 + x^3 + x^2 + 1."""
+    hi = v >> np.uint64(FIELD_BITS)
+    return ((v & np.uint64(FIELD_MASK)) ^ hi ^ (hi << np.uint64(2)) ^ (hi << np.uint64(3))
+            ^ (hi << np.uint64(7)))
+
+
+def poly_eval_many(coefficients: Sequence[int], xs: Sequence[int]) -> list[int]:
+    """poly_eval at every x in xs (field elements), as plain ints.
+
+    Horner's rule over all points at once in uint64: each step multiplies
+    carry-less by XOR-reducing the 32 shifted copies of x that the bits of
+    the accumulator select (a product of at most 63 bits), then reduces with
+    two folds, 63 -> 38 -> 32 bits.
+    """
+    shifted = np.asarray(xs, dtype=np.uint64)[:, None] << _BITS  # x * t^i, unreduced
+    acc = np.zeros(len(xs), dtype=np.uint64)
+    for c in reversed(coefficients):
+        take = np.uint64(0) - ((acc[:, None] >> _BITS) & np.uint64(1))  # all ones where bit i is set
+        acc = _fold(_fold(np.bitwise_xor.reduce(shifted & take, axis=1))) ^ np.uint64(c)
+    return acc.tolist()
 
 
 def lagrange_interpolate(points: Sequence[tuple[int, int]], degree: int) -> list[int]:

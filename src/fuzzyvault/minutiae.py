@@ -109,11 +109,41 @@ def read_template(path, width: int, height: int) -> Template:
     return parse_template(Path(path).read_text(), width, height)
 
 
-def spaced(x: int, y: int, placed: Sequence[Minutia], distance: float) -> bool:
-    """True when (x, y) is at least ``distance`` from every placed minutia: the
-    one spacing rule of minutia selection, chaff and synthetic templates."""
-    d2 = distance * distance
-    return all((x - p.x) ** 2 + (y - p.y) ** 2 >= d2 for p in placed)
+class _SpacingGrid:
+    """Placed points bucketed in square cells for the one spacing rule of
+    minutia selection, chaff and synthetic templates: (x, y) is spaced when
+    dx^2 + dy^2 >= distance^2 against every placed point.
+
+    The cell edge is at least |distance|, so a point two cells away is more
+    than an edge apart on integer coordinates; only the 3x3 neighbourhood
+    of a query is tested, with the same comparison, so every query gets the
+    answer a scan of all placed points would give.
+    """
+
+    def __init__(self, distance: float, placed: Sequence[Minutia] = ()):
+        self._d2 = distance * distance
+        # inf and NaN reject every pair (d2 is inf, or compares False) and
+        # ceil refuses them: edge 0 keeps every point in one cell
+        self._edge = max(1, math.ceil(abs(distance))) if math.isfinite(distance) else 0
+        self._cells: dict[tuple[int, int], list[tuple[int, int]]] = {}
+        for m in placed:
+            self.add(m.x, m.y)
+
+    def _cell(self, x: int, y: int) -> tuple[int, int]:
+        return (x // self._edge, y // self._edge) if self._edge else (0, 0)
+
+    def spaced(self, x: int, y: int) -> bool:
+        cx, cy = self._cell(x, y)
+        d2, cells = self._d2, self._cells
+        for i in (cx - 1, cx, cx + 1):
+            for j in (cy - 1, cy, cy + 1):
+                for px, py in cells.get((i, j), ()):
+                    if not (x - px) ** 2 + (y - py) ** 2 >= d2:  # not <: NaN rejects
+                        return False
+        return True
+
+    def add(self, x: int, y: int) -> None:
+        self._cells.setdefault(self._cell(x, y), []).append((x, y))
 
 
 def place_spaced(what: str, count: int, width: int, height: int, distance: float, rng: Random,
@@ -127,17 +157,19 @@ def place_spaced(what: str, count: int, width: int, height: int, distance: float
     and returns it, or None to reject the draw.  Raises ChaffExhausted
     when a minutia finds no admissible draw in CHAFF_ATTEMPTS.
     """
-    placed = list(around)
+    grid = _SpacingGrid(distance, around)
+    placed: list[Minutia] = []
     for i in range(count):
         for _ in range(CHAFF_ATTEMPTS):
             x, y = rng.randrange(width), rng.randrange(height)
-            if spaced(x, y, placed, distance) and (m := finish(x, y)) is not None:
+            if grid.spaced(x, y) and (m := finish(x, y)) is not None:
                 break
         else:
             raise ChaffExhausted(f"cannot place {what} {i + 1} of {count} {distance:g} px apart "
                                  f"in {width}x{height} within {CHAFF_ATTEMPTS} draws")
+        grid.add(x, y)
         placed.append(m)
-    return placed[len(around):]
+    return placed
 
 
 def select_minutiae(template: Template, count: int, points_distance: float) -> list[Minutia]:
@@ -151,9 +183,11 @@ def select_minutiae(template: Template, count: int, points_distance: float) -> l
     """
     if count < 1:
         raise ValueError("count must be >= 1")
+    grid = _SpacingGrid(points_distance)
     chosen: list[Minutia] = []
     for m in sorted(template.minutiae, key=lambda m: -m.quality):
-        if spaced(m.x, m.y, chosen, points_distance):
+        if grid.spaced(m.x, m.y):
+            grid.add(m.x, m.y)
             chosen.append(m)
             if len(chosen) == count:
                 return chosen

@@ -156,13 +156,14 @@ def encode_vault(template: Template, params: VaultParams, rng: Random) -> tuple[
 
     secret = generate_secret(params.degree, rng)
     coeffs = secret_polynomial(secret, params.degree)
-    points = [VaultPoint(rep, gf32.poly_eval(coeffs, rep)) for rep in g_reps]
-
-    for m in generate_chaff(genuine, params, rng):
-        rep = encode_minutia(m)
-        on_curve = gf32.poly_eval(coeffs, rep)
+    c_reps = [encode_minutia(m) for m in generate_chaff(genuine, params, rng)]
+    # chaff placement ends before the first Y draw, so one projection of
+    # every point leaves the rng stream as drawing point by point would
+    on_curve = gf32.poly_eval_many(coeffs, g_reps + c_reps)
+    points = [VaultPoint(rep, y) for rep, y in zip(g_reps, on_curve)]
+    for rep, y_on in zip(c_reps, on_curve[len(g_reps):]):
         y = rng.getrandbits(WORD_BITS)
-        while y == on_curve:
+        while y == y_on:
             y = rng.getrandbits(WORD_BITS)
         points.append(VaultPoint(rep, y))
 
@@ -176,7 +177,8 @@ def genuine_indices(vault: Vault, secret: bytes) -> tuple[int, ...]:
     Only callable by whoever knows the secret, i.e. tests and analysis.
     """
     coeffs = secret_polynomial(secret, vault.params.degree)
-    return tuple(i for i, pt in enumerate(vault.points) if gf32.poly_eval(coeffs, pt.X) == pt.Y)
+    on_curve = gf32.poly_eval_many(coeffs, [pt.X for pt in vault.points])
+    return tuple(i for i, (pt, y) in enumerate(zip(vault.points, on_curve)) if pt.Y == y)
 
 
 def check_keys(data, expected: set[str], what: str) -> None:

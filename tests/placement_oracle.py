@@ -1,9 +1,12 @@
 """Reference code for placement: minutia selection, chaff and synthetic
-templates as first written, each with its own copy of the spacing rule and,
-for chaff and synthetic templates, its own rejection loop.
+templates as first written, each with its own copy of the spacing rule and
+a linear scan of every placed point and, for chaff and synthetic templates,
+its own rejection loop; and vault encoding as first written, projecting
+each point with scalar poly_eval as it is drawn.
 
-The shipped functions share minutiae.spaced and minutiae.place_spaced and
-must return the same values and leave the rng in the same state.
+The shipped functions test spacing in one cell grid inside minutiae, draw
+through minutiae.place_spaced and project every vault point in one batched
+call; they must return the same values and leave the rng in the same state.
 """
 
 import random
@@ -17,7 +20,15 @@ from fuzzyvault.minutiae import (
     Template,
     encode_minutia,
 )
-from fuzzyvault.vault import VaultParams
+from fuzzyvault import gf32
+from fuzzyvault.vault import (
+    WORD_BITS,
+    Vault,
+    VaultParams,
+    VaultPoint,
+    generate_secret,
+    secret_polynomial,
+)
 
 # Rejection-sampling attempts per chaff point before giving up.
 CHAFF_ATTEMPTS = 10_000
@@ -119,3 +130,36 @@ def synth_template(
         theta = rng.uniform(0.0, 360.0) % 360.0
         placed.append(Minutia(x, y, theta, rng.randint(1, 100)))
     return Template(tuple(placed), width, height)
+
+
+def encode_vault(template: Template, params: VaultParams, rng: Random) -> tuple[Vault, bytes]:
+    """Lock a fresh secret under the template's best minutiae.
+
+    Returns the vault together with the secret so tests and transcripts can
+    verify it; production callers discard the secret (any later match
+    reproduces it).  The points are uniformly shuffled, so the vault carries
+    no ordering signal separating genuine from chaff.
+
+    Raises:
+        InsufficientMinutiae: template cannot supply genuine_count minutiae.
+        ChaffExhausted: chaff constraints are unsatisfiable.
+    """
+    genuine = select_minutiae(template, params.genuine_count, params.points_distance)
+    g_reps = [encode_minutia(m) for m in genuine]
+    if len(set(g_reps)) != len(g_reps):
+        raise InsufficientMinutiae("selected minutiae collide in their 32-bit encoding; rescan the finger")
+
+    secret = generate_secret(params.degree, rng)
+    coeffs = secret_polynomial(secret, params.degree)
+    points = [VaultPoint(rep, gf32.poly_eval(coeffs, rep)) for rep in g_reps]
+
+    for m in generate_chaff(genuine, params, rng):
+        rep = encode_minutia(m)
+        on_curve = gf32.poly_eval(coeffs, rep)
+        y = rng.getrandbits(WORD_BITS)
+        while y == on_curve:
+            y = rng.getrandbits(WORD_BITS)
+        points.append(VaultPoint(rep, y))
+
+    rng.shuffle(points)
+    return Vault(params, tuple(points)), secret

@@ -164,6 +164,17 @@ def test_encode_write_failure_leaves_no_file(runner, tmp_path, failing):
     assert sorted(p.name for p in tmp_path.iterdir()) == ["f.xyt"]
 
 
+@pytest.mark.parametrize("alias", ["v.json", "./v.json"])
+def test_encode_refuses_secret_out_equal_to_out(runner, tmp_path, monkeypatch, alias):
+    # the secret would overwrite the vault it unlocks
+    monkeypatch.chdir(tmp_path)
+    result = runner.invoke(main, ["encode", "--template", str(template_file(tmp_path)),
+                                  "--out", "v.json", "--secret-out", alias])
+    assert result.exit_code == 2
+    assert "error:" in result.stderr and "--secret-out" in result.stderr
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["f.xyt"]
+
+
 def test_encode_error_exits_two(runner, tmp_path):
     template_path = tmp_path / "thin.xyt"
     write_template(template_path, synth_template(903, 10))  # too few minutiae

@@ -3,6 +3,7 @@
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from fuzzyvault import gf32
 from gf32_oracle import _is_irreducible, find_irreducible
@@ -127,6 +128,22 @@ def test_poly_eval_matches_power_sum_oracle():
         coeffs = [rng.getrandbits(32) for _ in range(rng.randint(1, 12))]
         x = rng.getrandbits(32)
         assert gf32.poly_eval(coeffs, x) == eval_oracle(coeffs, x)
+
+
+# field elements with the edges pinned: 0, 1, the all-ones word and the
+# reduction tail 0x8D, whose products exercise both folds
+_elements = st.one_of(st.sampled_from([0, 1, 0x8D, 0xFFFFFFFF]), st.integers(0, 0xFFFFFFFF))
+
+
+@settings(max_examples=300, deadline=None)
+@given(coeffs=st.lists(_elements, min_size=1, max_size=17),
+       xs=st.lists(_elements, max_size=40).flatmap(
+           lambda xs: st.permutations(xs + xs[: len(xs) // 2])))
+def test_poly_eval_many_matches_scalar(coeffs, xs):
+    # degrees 0-16; xs may be empty and half of them repeat
+    got = gf32.poly_eval_many(coeffs, xs)
+    assert got == [gf32.poly_eval(coeffs, x) for x in xs]
+    assert all(type(y) is int for y in got)
 
 
 def test_interpolate_constant():

@@ -1,6 +1,7 @@
 """One placement rule: selection, chaff and synthetic templates against the
 placement oracle, which keeps each as first written."""
 
+import math
 import random
 
 import pytest
@@ -15,14 +16,26 @@ from fuzzyvault.minutiae import (
     Template,
     select_minutiae,
 )
-from fuzzyvault.vault import VaultParams, generate_chaff
+from fuzzyvault.vault import VaultParams, encode_vault, generate_chaff
 
 # Small images keep near-full placements and exhaustion cheap; the fixed
-# distances cover 0, the defaults and one larger than any diagonal here.
+# distances cover 0, the defaults, one larger than any diagonal here, and
+# cell-edge boundaries on either side of an integer.
 _sizes = st.integers(1, 48)
 _distances = st.one_of(
-    st.sampled_from([0, 0.0, 1, 5, 8, 10.0, 14, 100.0]),
+    st.sampled_from([0, 0.0, 0.5, 1, 5, 8, 9.5, 10, 10.0, 10.000001, 14, 100.0]),
     st.floats(0, 80, allow_nan=False),
+)
+# shorter distances for encoding, so that small images still hold the
+# degree + 1 spaced minutiae a vault needs
+_encode_distances = st.one_of(st.sampled_from([0, 1, 5, 9.5, 10, 10.000001]), st.floats(0, 16))
+# selection is public and takes any float: the rule squares the distance,
+# so a negative one acts as its absolute value, and inf or NaN space only
+# the first minutia
+_signed_distances = st.one_of(
+    _distances,
+    st.builds(lambda d: -d, _distances),
+    st.sampled_from([float("inf"), float("-inf"), float("nan")]),
 )
 
 
@@ -44,10 +57,13 @@ def _outcome(fn, rng, *args):
 
 
 @settings(max_examples=300, deadline=None)
-@given(template=_templates(), count=st.integers(1, 26), pd=_distances)
-def test_select_minutiae_matches_oracle(template, count, pd):
-    assert (_outcome(select_minutiae, None, template, count, pd)
-            == _outcome(oracle.select_minutiae, None, template, count, pd))
+@given(template=_templates(), pd=_signed_distances)
+def test_select_minutiae_matches_oracle(template, pd):
+    # every count to one past the template size, so a selection that
+    # differs shows in its list, not only in the count that raises
+    for count in range(1, len(template) + 2):
+        assert (_outcome(select_minutiae, None, template, count, pd)
+                == _outcome(oracle.select_minutiae, None, template, count, pd))
 
 
 @settings(max_examples=150, deadline=None)
@@ -61,6 +77,38 @@ def test_generate_chaff_matches_oracle(template, chaff, pd, seed):
     rng, ref_rng = random.Random(seed), random.Random(seed)
     assert (_outcome(generate_chaff, rng, genuine, params, rng)
             == _outcome(oracle.generate_chaff, ref_rng, genuine, params, ref_rng))
+
+
+@st.composite
+def _encode_inputs(draw):
+    """VaultParams and a template holding degree + 1 or more lattice minutiae
+    ceil(pd) apart, which selection can all take unless the image is too
+    small, plus a few free minutiae that may crowd them out or collide."""
+    degree, width, height, pd = (draw(st.integers(1, 14)), draw(_sizes), draw(_sizes),
+                                 draw(_encode_distances))
+    step = max(1, math.ceil(pd))
+    lattice = [(x, y) for x in range(0, width, step) for y in range(0, height, step)]
+    sites = draw(st.lists(st.sampled_from(lattice), unique=True,
+                          min_size=min(len(lattice), degree + 1), max_size=degree + 4))
+    sites += draw(st.lists(st.tuples(st.integers(0, width - 1), st.integers(0, height - 1)),
+                           max_size=3))
+    minutiae = tuple(Minutia(x, y, draw(st.floats(0, 360, exclude_max=True)), draw(st.integers(0, 5)))
+                     for x, y in sites)
+    genuine = degree + 1 + draw(st.integers(0, 2))
+    params = VaultParams(degree, genuine, draw(st.integers(0, 40)), pd, width, height)
+    return Template(minutiae, width, height), params
+
+
+@settings(max_examples=150, deadline=None)
+@given(inputs=_encode_inputs(), seed=st.integers(0, 2**32))
+def test_encode_vault_matches_oracle(inputs, seed):
+    # too few spaced minutiae, colliding encodings, c = 0, full images and
+    # exhaustion mid-chaff all occur; the vault, the secret or the error,
+    # and the rng state after, must agree
+    template, params = inputs
+    rng, ref_rng = random.Random(seed), random.Random(seed)
+    assert (_outcome(encode_vault, rng, template, params, rng)
+            == _outcome(oracle.encode_vault, ref_rng, template, params, ref_rng))
 
 
 @settings(max_examples=100, deadline=None)
