@@ -26,7 +26,6 @@ from .client import UnknownUser
 from .client import enroll as client_enroll
 from .client import verify as client_verify
 from .decoder import (
-    DEFAULT_ITERATION_CAP,
     RANDOM_SELECTION,
     VARIANTS,
     SubsetStrategy,
@@ -43,7 +42,7 @@ from .evaluation import (
     write_report_csv,
 )
 from .minutiae import ChaffExhausted, InsufficientMinutiae, read_template
-from .security import SecurityModel, estimate
+from .security import SecurityModel, estimate, float_or_int
 from .service import VaultStoreService
 from .store import FileVaultStore, MemoryVaultStore, StorageUnavailable
 from .vault import (
@@ -62,12 +61,6 @@ _USAGE_ERRORS = (InsufficientMinutiae, ChaffExhausted, StorageUnavailable, Value
 def _fail(exc) -> None:
     click.echo(f"error: {exc}", err=True)
     sys.exit(2)
-
-
-def _make_strategy(name: str, cap: int | None) -> SubsetStrategy:
-    if name == RANDOM_SELECTION:
-        return SubsetStrategy(name, iteration_cap=DEFAULT_ITERATION_CAP if cap is None else cap)
-    return SubsetStrategy(name, iteration_cap=cap)
 
 
 class _Group(click.Group):
@@ -141,7 +134,7 @@ def verify(vault_path, probe_path, x_thres, y_thres, theta_thres, basis_thres,
     vault = vault_from_dict(json.loads(Path(vault_path).read_text()))
     probe = read_template(probe_path, vault.params.width, vault.params.height)
     match_params = MatchParams(x_thres, y_thres, theta_thres, basis_thres)
-    result = decode_vault(vault, probe, match_params, _make_strategy(strategy_name, cap), rng)
+    result = decode_vault(vault, probe, match_params, SubsetStrategy(strategy_name, cap), rng)
     if stats:
         record = {**asdict(result), "secret": result.secret.hex() if result.secret else None}
         click.echo(json.dumps(record))
@@ -157,14 +150,10 @@ def verify(vault_path, probe_path, x_thres, y_thres, theta_thres, basis_thres,
 def security(genuine, chaff, degree, interp_seconds):
     """Analytic brute-force cost of a vault shape, as JSON."""
     est = estimate(SecurityModel(genuine, chaff, degree, interp_seconds))
-    try:
-        attempts = float(est.expected_attempts)
-    except OverflowError:
-        attempts = int(est.expected_attempts)  # too big for a float; JSON takes the integer
     click.echo(json.dumps({
         "v_s": est.vault_subsets,
         "g_s": est.genuine_subsets,
-        "expected_attempts": attempts,
+        "expected_attempts": float_or_int(est.expected_attempts),
         "expected_seconds": est.expected_seconds,
         "bit_security": est.bit_security,
     }))
@@ -294,7 +283,7 @@ def auth(user_id, probe_path, server, config_name, strategy_name, cap, width, he
             server,
             cfg.vault_params(width, height),
             cfg.match_params(),
-            _make_strategy(strategy_name, cap),
+            SubsetStrategy(strategy_name, cap),
             random.Random(seed),
         )
     except UnknownUser as exc:

@@ -38,10 +38,6 @@ DEFAULT_ITERATION_CAP = 2**20
 # random-generation refuses to materialize more subsets than this.
 SUBSET_BUDGET = 1_000_000
 
-# How many vault bases to run through the threshold kernel per numpy call;
-# bounds scratch memory, not results.
-_BASIS_CHUNK = 64
-
 
 class ArityError(ValueError):
     """Raised when a candidate set is smaller than the subset size."""
@@ -59,7 +55,8 @@ class SubsetStrategy:
     (deterministic, exhaustive); random-generation materializes and
     shuffles them (exhaustive, memory-bound); random-selection draws
     subsets uniformly at random, repeats allowed, capped by
-    iteration_cap.
+    iteration_cap, which defaults to DEFAULT_ITERATION_CAP for it and
+    to no cap for the exhaustive variants.
     """
 
     variant: str
@@ -68,11 +65,13 @@ class SubsetStrategy:
     def __post_init__(self):
         if self.variant not in VARIANTS:
             raise ValueError(f"unknown variant {self.variant!r}; pick one of {VARIANTS}")
+        if self.iteration_cap is None and self.variant == RANDOM_SELECTION:
+            object.__setattr__(self, "iteration_cap", DEFAULT_ITERATION_CAP)
         if self.iteration_cap is not None and self.iteration_cap < 1:
             raise ValueError("iteration_cap must be positive")
 
 
-DEFAULT_STRATEGY = SubsetStrategy(RANDOM_SELECTION, iteration_cap=DEFAULT_ITERATION_CAP)
+DEFAULT_STRATEGY = SubsetStrategy(RANDOM_SELECTION)
 
 
 @dataclass(frozen=True)
@@ -183,22 +182,22 @@ def decode_vault(
 
     for i in range(len(probe_sel)):
         compatible = np.nonzero(basis_ok[i])[0]
-        for lo in range(0, len(compatible), _BASIS_CHUNK):
-            chunk = compatible[lo : lo + _BASIS_CHUNK]
-            margins = match_margins_many(vtable, ptable, i, chunk, match_params)
-            hits = margins <= 0.0
-            # only rows with at least degree+1 candidates can unlock
-            for row in np.flatnonzero(np.count_nonzero(hits, axis=1) >= size):
-                sets_evaluated += 1
-                cand = np.flatnonzero(hits[row])
-                # Strongest matches first; ties keep vault order.
-                order = cand[np.argsort(margins[row][cand], kind="stable")]
-                pool = [vault.points[int(j)] for j in order]
-                for subset in generate_subsets(pool, size, strategy, rng):
-                    interpolations += 1
-                    secret = try_unlock(subset, degree)
-                    if secret is not None:
-                        bases_tried += int(row) + 1
-                        return result(True, secret)
-            bases_tried += len(chunk)
+        if compatible.size == 0:
+            continue
+        margins = match_margins_many(vtable, ptable, i, compatible, match_params)
+        hits = margins <= 0.0
+        # only rows with at least degree+1 candidates can unlock
+        for row in np.flatnonzero(np.count_nonzero(hits, axis=1) >= size):
+            sets_evaluated += 1
+            cand = np.flatnonzero(hits[row])
+            # Strongest matches first; ties keep vault order.
+            order = cand[np.argsort(margins[row][cand], kind="stable")]
+            pool = [vault.points[int(j)] for j in order]
+            for subset in generate_subsets(pool, size, strategy, rng):
+                interpolations += 1
+                secret = try_unlock(subset, degree)
+                if secret is not None:
+                    bases_tried += int(row) + 1
+                    return result(True, secret)
+        bases_tried += len(compatible)
     return result(False, None)

@@ -40,8 +40,9 @@ class SecurityModel:
             raise ValueError("chaff_count must be >= 0")
         if self.degree < 1:
             raise ValueError("degree must be >= 1")
-        if self.interpolation_seconds is not None and self.interpolation_seconds <= 0:
-            raise ValueError("interpolation_seconds must be positive")
+        seconds = self.interpolation_seconds
+        if seconds is not None and not (math.isfinite(seconds) and seconds > 0):
+            raise ValueError(f"interpolation_seconds must be positive and finite, got {seconds}")
 
     @property
     def vault_size(self) -> int:
@@ -54,7 +55,7 @@ class AttackEstimate:
     genuine_subsets: int  # g_s
     chaff_subsets: int  # v_s - g_s
     expected_attempts: Fraction
-    expected_seconds: float | None
+    expected_seconds: float | int | None  # an int only past the float range
     bit_security: float
 
 
@@ -70,13 +71,21 @@ def subset_counts(model: SecurityModel) -> tuple[int, int, int]:
     return v_s, g_s, v_s - g_s
 
 
+def float_or_int(value: Fraction) -> float | int:
+    """value as a float, or as the nearest int when it is past the float range."""
+    try:
+        return float(value)
+    except OverflowError:
+        return round(value)
+
+
 def estimate(model: SecurityModel) -> AttackEstimate:
     """Subset counts, mean draws (v_s + 1) / (g_s + 1), seconds if measured, bits."""
     v_s, g_s, c_s = subset_counts(model)
     attempts = Fraction(v_s + 1, g_s + 1)
     seconds = None
     if model.interpolation_seconds is not None:
-        seconds = float(attempts) * model.interpolation_seconds
+        seconds = float_or_int(attempts * Fraction(model.interpolation_seconds))
     return AttackEstimate(
         vault_subsets=v_s,
         genuine_subsets=g_s,

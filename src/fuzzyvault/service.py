@@ -7,13 +7,18 @@ Endpoints:
   and the assigned object id
 * ``GET /vaults?user_id=...`` every vault stored for that user
 
-Schema violations in a request return 400.  Storage faults return 503.
-A stored vault file that is corrupt or breaks the schema is a server
-fault, not a client one: the user's readable vaults come back with 200
-and an ``"unreadable": n`` count, and if no file is readable the answer
-is 503.  The server is a stdlib ThreadingHTTPServer; it exists so the
-client code and the tests can exercise the real wire format, not to be
-an internet-facing deployment.
+Every request passes one boundary: a route returns (status, payload)
+or raises a typed error, and the boundary turns DocumentInvalid into
+400 (the device's request is wrong) and StorageUnavailable into 503
+(the device keeps its template or probe and retries).  A stored vault
+file that is corrupt or breaks the schema is a server fault, not a
+client one: the user's readable vaults come back with 200 and an
+``"unreadable": n`` count, and if no file is readable the answer is
+503.  A client that stops sending mid-request is dropped after
+_READ_TIMEOUT seconds instead of holding a handler thread.  The server
+is a stdlib ThreadingHTTPServer; it exists so the client code and the
+tests can exercise the real wire format, not to be an internet-facing
+deployment.
 """
 
 from __future__ import annotations
@@ -34,6 +39,9 @@ from .store import (
 _MAX_BODY = 8 << 20  # bytes; a vault document is a few KB
 # Seconds between shutdown checks in serve_forever; bounds how long stop() blocks.
 _POLL_INTERVAL = 0.05
+# Seconds a handler waits on one read or write of a client's socket before
+# http.server drops the connection; the same as client._TIMEOUT.
+_READ_TIMEOUT = 10.0
 
 
 class VaultStoreService:
@@ -50,16 +58,65 @@ class VaultStoreService:
         service = self
 
         class Handler(BaseHTTPRequestHandler):
+            timeout = _READ_TIMEOUT
+
             def log_message(self, fmt, *args):  # keep test output clean
                 pass
 
-            def _reply(self, status: int, payload: dict, logged: dict | None = None):
+            def health(self, query: str, logged: dict) -> tuple[int, dict]:
+                return 200, {"status": "ok"}
+
+            def get_vaults(self, query: str, logged: dict) -> tuple[int, dict]:
+                user_ids = parse_qs(query).get("user_id", [])
+                logged["user_id"] = user_ids[0] if user_ids else None
+                if len(user_ids) != 1:
+                    raise DocumentInvalid("exactly one user_id is required")
+                unreadable = 0
+                try:
+                    docs = service.store.fetch(user_ids[0])
+                except UnreadableVaults as exc:
+                    if not exc.readable:
+                        raise  # nothing to serve: a plain server fault
+                    docs, unreadable = exc.readable, exc.unreadable
+                payload = {"vaults": [document_to_dict(d) for d in docs]}
+                if unreadable:
+                    payload["unreadable"] = unreadable
+                return 200, payload
+
+            def post_vault(self, query: str, logged: dict) -> tuple[int, dict]:
+                try:
+                    length = int(self.headers.get("Content-Length") or 0)
+                except ValueError:
+                    length = 0
+                if length <= 0 or length > _MAX_BODY:
+                    raise DocumentInvalid("missing, malformed or oversized body")
+                try:
+                    data = json.loads(self.rfile.read(length))
+                except ValueError:  # bad JSON or bytes that are not UTF-8
+                    raise DocumentInvalid("body is not valid JSON") from None
+                logged["request"] = data
+                object_id = service.store.put(document_from_dict(data, require_id=False))
+                return 201, {"object_id": object_id}
+
+            def unknown(self, query: str, logged: dict) -> tuple[int, dict]:
+                return 404, {"error": "unknown path"}
+
+            routes = {("GET", "/health"): health, ("GET", "/vaults"): get_vaults,
+                      ("POST", "/vaults"): post_vault}
+
+            def _serve(self, method: str):
+                url = urlparse(self.path)
+                logged = {"method": method, "path": url.path}
+                route = self.routes.get((method, url.path), Handler.unknown)
+                try:
+                    status, payload = route(self, url.query, logged)
+                except DocumentInvalid as exc:
+                    status, payload = 400, {"error": str(exc)}
+                except StorageUnavailable as exc:
+                    status, payload = 503, {"error": str(exc)}
                 # log first: once the body is written the client may read the log
                 if service.wire_log is not None:
-                    entry = dict(logged or {})
-                    entry["status"] = status
-                    entry["response"] = payload
-                    service.wire_log.append(entry)
+                    service.wire_log.append({**logged, "status": status, "response": payload})
                 body = json.dumps(payload).encode()
                 self.send_response(status)
                 self.send_header("Content-Type", "application/json")
@@ -68,69 +125,10 @@ class VaultStoreService:
                 self.wfile.write(body)
 
             def do_GET(self):
-                url = urlparse(self.path)
-                logged = {"method": "GET", "path": url.path}
-                if url.path == "/health":
-                    self._reply(200, {"status": "ok"}, logged)
-                    return
-                if url.path == "/vaults":
-                    params = parse_qs(url.query)
-                    user_ids = params.get("user_id", [])
-                    logged["user_id"] = user_ids[0] if user_ids else None
-                    if len(user_ids) != 1:
-                        self._reply(400, {"error": "exactly one user_id is required"}, logged)
-                        return
-                    unreadable = 0
-                    try:
-                        docs = service.store.fetch(user_ids[0])
-                    except DocumentInvalid as exc:
-                        self._reply(400, {"error": str(exc)}, logged)
-                        return
-                    except UnreadableVaults as exc:
-                        if not exc.readable:
-                            self._reply(503, {"error": str(exc)}, logged)
-                            return
-                        docs, unreadable = exc.readable, exc.unreadable
-                    except StorageUnavailable as exc:
-                        self._reply(503, {"error": str(exc)}, logged)
-                        return
-                    payload = {"vaults": [document_to_dict(d) for d in docs]}
-                    if unreadable:
-                        payload["unreadable"] = unreadable
-                    self._reply(200, payload, logged)
-                    return
-                self._reply(404, {"error": "unknown path"}, logged)
+                self._serve("GET")
 
             def do_POST(self):
-                url = urlparse(self.path)
-                logged = {"method": "POST", "path": url.path}
-                if url.path != "/vaults":
-                    self._reply(404, {"error": "unknown path"}, logged)
-                    return
-                try:
-                    length = int(self.headers.get("Content-Length") or 0)
-                except ValueError:
-                    length = 0
-                if length <= 0 or length > _MAX_BODY:
-                    self._reply(400, {"error": "missing, malformed or oversized body"}, logged)
-                    return
-                raw = self.rfile.read(length)
-                try:
-                    data = json.loads(raw)
-                except ValueError:  # bad JSON or bytes that are not UTF-8
-                    self._reply(400, {"error": "body is not valid JSON"}, logged)
-                    return
-                logged["request"] = data
-                try:
-                    doc = document_from_dict(data, require_id=False)
-                    object_id = service.store.put(doc)
-                except DocumentInvalid as exc:
-                    self._reply(400, {"error": str(exc)}, logged)
-                    return
-                except StorageUnavailable as exc:
-                    self._reply(503, {"error": str(exc)}, logged)
-                    return
-                self._reply(201, {"object_id": object_id}, logged)
+                self._serve("POST")
 
         self._server = ThreadingHTTPServer((host, port), Handler)
         self._thread: threading.Thread | None = None

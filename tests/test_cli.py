@@ -23,10 +23,17 @@ def write_template(path, template):
             fh.write(f"{m.x} {m.y} {m.theta:.4f} {m.quality}\n")
 
 
+def strict_json(text):
+    """Parse text as JSON proper: NaN, Infinity and -Infinity are refused."""
+    def refuse(constant):
+        raise ValueError(f"{constant} is not JSON")
+    return json.loads(text, parse_constant=refuse)
+
+
 def test_security_report_shape(runner):
     result = runner.invoke(main, ["security", "--g", "35", "--c", "300", "--n", "8"])
     assert result.exit_code == 0
-    report = json.loads(result.stdout)
+    report = strict_json(result.stdout)
     assert set(report) == {"v_s", "g_s", "expected_attempts", "expected_seconds", "bit_security"}
     assert report["expected_seconds"] is None
     assert abs(report["expected_attempts"] - 1.86e9) / 1.86e9 < 0.01
@@ -35,8 +42,19 @@ def test_security_report_shape(runner):
 def test_security_with_latency(runner):
     result = runner.invoke(main, ["security", "--g", "35", "--c", "300", "--n", "8",
                                   "--l", "0.01"])
-    report = json.loads(result.stdout)
+    report = strict_json(result.stdout)
     assert abs(report["expected_seconds"] - 1.86e7) / 1.86e7 < 0.01
+
+
+def test_security_past_the_float_range_reports_integers(runner):
+    result = runner.invoke(main, ["security", "--g", "3000", "--c", "340000", "--n", "800",
+                                  "--l", "0.001"])
+    assert result.exit_code == 0, result.output
+    report = strict_json(result.stdout)
+    attempts, seconds = report["expected_attempts"], report["expected_seconds"]
+    assert type(attempts) is int and type(seconds) is int
+    assert attempts > 10**1600
+    assert abs(1000 * seconds - attempts) < attempts // 10**15  # 0.001 is not exact in binary
 
 
 def test_security_rejects_bad_shape(runner):
@@ -140,11 +158,17 @@ def inf_point_distance(runner, tmp_path):
     (inf_point_distance, "points_distance"),
     (float_degree_vault, "params.n"),
     (lambda runner, tmp_path: ["serve", "--memory", "--port", "70000"], "--port"),
+    (lambda runner, tmp_path: ["security", "--g", "35", "--c", "300", "--n", "8", "--l", "nan"],
+     "interpolation_seconds"),
+    (lambda runner, tmp_path: ["security", "--g", "35", "--c", "300", "--n", "8", "--l", "inf"],
+     "interpolation_seconds"),
+    (lambda runner, tmp_path: ["security", "--g", "35", "--c", "300", "--n", "8",
+                               "--l", "1e400"], "interpolation_seconds"),
     (lambda runner, tmp_path: ["eval", "--synthetic", "x=1"], "--synthetic"),
     (lambda runner, tmp_path: ["eval", "--synthetic", "fingers=2,captures=2",
                                "--width", "10", "--height", "10"], "synthetic minutia"),
-], ids=["secret-out", "pd-nan", "pd-inf", "float-degree", "port", "synthetic",
-        "synthetic-shape"])
+], ids=["secret-out", "pd-nan", "pd-inf", "float-degree", "port", "l-nan", "l-inf", "l-1e400",
+        "synthetic", "synthetic-shape"])
 def test_usage_errors_exit_two_without_traceback(runner, tmp_path, make_args, reason):
     result = runner.invoke(main, make_args(runner, tmp_path))
     assert result.exit_code == 2

@@ -73,6 +73,17 @@ def test_random_selection_draw_count_and_cap():
     assert len(list(generate_subsets(pts, 3, capped, random.Random(4)))) == 5
 
 
+def test_random_selection_is_capped_by_default(monkeypatch):
+    assert SubsetStrategy(RANDOM_SELECTION).iteration_cap == decoder.DEFAULT_ITERATION_CAP
+    assert DEFAULT_STRATEGY == SubsetStrategy(RANDOM_SELECTION)
+    assert SubsetStrategy(ITERATIVE_SELECTION).iteration_cap is None  # exhaustive ones stay whole
+    assert SubsetStrategy(RANDOM_GENERATION).iteration_cap is None
+    monkeypatch.setattr(decoder, "DEFAULT_ITERATION_CAP", 7)
+    pts = [VaultPoint(i, 0) for i in range(6)]
+    drawn = generate_subsets(pts, 3, SubsetStrategy(RANDOM_SELECTION), random.Random(5))
+    assert len(list(drawn)) == 7  # not all C(6, 3) = 20
+
+
 def reference_subsets(pool, size, variant, cap, rng):
     """Each variant's stream written out whole, then cut to the cap."""
     if variant == RANDOM_SELECTION:

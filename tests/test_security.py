@@ -64,6 +64,12 @@ def test_expected_time_scales_linearly():
     assert expected_seconds(30, 0, 8, 0.01) == 0.01
 
 
+@pytest.mark.parametrize("seconds", [0.0, -1.0, math.nan, math.inf])
+def test_model_refuses_a_latency_that_is_not_positive_and_finite(seconds):
+    with pytest.raises(ValueError, match="interpolation_seconds"):
+        SecurityModel(35, 300, 8, interpolation_seconds=seconds)
+
+
 def test_expected_time_requires_measurement():
     assert estimate(SecurityModel(35, 300, 8)).expected_seconds is None
 

@@ -3,10 +3,11 @@
 import http.client
 import json
 import random
+import socket
 import threading
 import time
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
-from urllib.parse import urlparse
+from urllib.parse import parse_qs, urlparse
 
 import pytest
 import requests
@@ -16,6 +17,7 @@ from fuzzyvault.aligner import MatchParams
 from fuzzyvault.client import UnknownUser, enroll, verify
 from fuzzyvault.decoder import ITERATIVE_SELECTION, SubsetStrategy
 from fuzzyvault.evaluation import BUILTIN_CONFIGS, perturb_template, synth_template
+from fuzzyvault import service as service_module
 from fuzzyvault.service import VaultStoreService
 from fuzzyvault.store import (
     DocumentInvalid,
@@ -24,6 +26,7 @@ from fuzzyvault.store import (
     StorageUnavailable,
     UnreadableVaults,
     VaultDocument,
+    check_user_id,
     document_from_dict,
     document_from_vault,
     document_to_dict,
@@ -360,6 +363,19 @@ def test_service_rejects_body_that_is_not_utf8(service):
     assert requests.get(f"{svc.url}/health", timeout=5).status_code == 200
 
 
+def test_service_drops_a_client_that_stops_mid_body(monkeypatch):
+    # without a read timeout the handler thread waits for the other 95 bytes forever
+    monkeypatch.setattr(service_module, "_READ_TIMEOUT", 0.5)
+    with VaultStoreService(MemoryVaultStore(), port=0) as svc:
+        url = urlparse(svc.url)
+        with socket.create_connection((url.hostname, url.port), timeout=5) as sock:
+            sock.sendall(b"POST /vaults HTTP/1.1\r\nHost: x\r\nContent-Length: 100\r\n\r\n{\"a\":")
+            t0 = time.perf_counter()
+            assert sock.recv(1024) == b""  # closed with no reply, not a socket timeout
+            assert time.perf_counter() - t0 < 3
+        assert requests.get(f"{svc.url}/health", timeout=5).status_code == 200
+
+
 def test_service_stop_is_prompt():
     # serve_forever only notices shutdown between polls, so a long poll
     # interval would show here as up to that long per stop
@@ -371,6 +387,106 @@ def test_service_stop_is_prompt():
         svc.stop()
         elapsed += time.perf_counter() - t0
     assert elapsed < 0.5
+
+
+class _FaultyStore:
+    """Checks user ids as both stores do, then raises fault if one is set."""
+
+    def __init__(self, docs, fault):
+        self.docs = docs
+        self.fault = fault
+
+    def fetch(self, user_id):
+        check_user_id(user_id)
+        if self.fault is not None:
+            raise self.fault
+        return self.docs
+
+    def put(self, doc):
+        if self.fault is not None:
+            raise self.fault
+        return "stored-id"
+
+
+_STORED = make_doc(object_id="v1")
+_STORED_DICT = document_to_dict(_STORED)
+_WIRE_DOC = json.dumps(document_to_dict(make_doc())).encode()
+_BAD_SCHEMA = json.dumps({**document_to_dict(make_doc()), "minutiae": [[1, 2, 3]]}).encode()
+_GET_KEYS = {"method", "path", "status", "response"}
+_USER_KEYS = _GET_KEYS | {"user_id"}
+_BODY_KEYS = _GET_KEYS | {"request"}
+_DOWN = "store is down"
+
+# (method, target, body, Content-Length or None for len(body), store fault,
+#  status, response, wire_log keys); every status the service can answer
+_FAULT_MAP = {
+    "health": ("GET", "/health", b"", None, None, 200, {"status": "ok"}, _GET_KEYS),
+    "get": ("GET", "/vaults?user_id=alice", b"", None, None,
+            200, {"vaults": [_STORED_DICT]}, _USER_KEYS),
+    "get-no-user": ("GET", "/vaults", b"", None, None,
+                    400, {"error": "exactly one user_id is required"}, _USER_KEYS),
+    "get-two-users": ("GET", "/vaults?user_id=alice&user_id=bob", b"", None, None,
+                      400, {"error": "exactly one user_id is required"}, _USER_KEYS),
+    "get-dots": ("GET", "/vaults?user_id=..", b"", None, None, 400,
+                 {"error": "user_id must match [A-Za-z0-9._-]{1,64} and not be all dots"},
+                 _USER_KEYS),
+    "get-store-down": ("GET", "/vaults?user_id=alice", b"", None, StorageUnavailable(_DOWN),
+                       503, {"error": _DOWN}, _USER_KEYS),
+    "get-some-unreadable": ("GET", "/vaults?user_id=alice", b"", None,
+                            UnreadableVaults("1 corrupt", [_STORED], 1),
+                            200, {"vaults": [_STORED_DICT], "unreadable": 1}, _USER_KEYS),
+    "get-all-unreadable": ("GET", "/vaults?user_id=alice", b"", None,
+                           UnreadableVaults("2 corrupt", [], 2),
+                           503, {"error": "2 corrupt"}, _USER_KEYS),
+    "get-unknown": ("GET", "/nope", b"", None, None, 404, {"error": "unknown path"}, _GET_KEYS),
+    "post": ("POST", "/vaults", _WIRE_DOC, None, None,
+             201, {"object_id": "stored-id"}, _BODY_KEYS),
+    "post-no-body": ("POST", "/vaults", b"", None, None,
+                     400, {"error": "missing, malformed or oversized body"}, _GET_KEYS),
+    "post-bad-length": ("POST", "/vaults", b"{}", "abc", None,
+                        400, {"error": "missing, malformed or oversized body"}, _GET_KEYS),
+    "post-oversized": ("POST", "/vaults", b"", str(9 << 20), None,
+                       400, {"error": "missing, malformed or oversized body"}, _GET_KEYS),
+    "post-bad-json": ("POST", "/vaults", b"{ nope", None, None,
+                      400, {"error": "body is not valid JSON"}, _GET_KEYS),
+    "post-not-utf8": ("POST", "/vaults", b'{"user_id": "\xff"}', None, None,
+                      400, {"error": "body is not valid JSON"}, _GET_KEYS),
+    "post-schema": ("POST", "/vaults", _BAD_SCHEMA, None, None,
+                    400, {"error": "bad document keys: missing [], unexpected ['minutiae']"}, _BODY_KEYS),
+    "post-store-down": ("POST", "/vaults", _WIRE_DOC, None, StorageUnavailable(_DOWN),
+                        503, {"error": _DOWN}, _BODY_KEYS),
+    "post-unknown": ("POST", "/nope", _WIRE_DOC, None, None,
+                     404, {"error": "unknown path"}, _GET_KEYS),
+    "post-health": ("POST", "/health", _WIRE_DOC, None, None,
+                    404, {"error": "unknown path"}, _GET_KEYS),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_FAULT_MAP))
+def test_service_fault_map(case):
+    method, target, body, length, fault, status, response, keys = _FAULT_MAP[case]
+    wire = []
+    with VaultStoreService(_FaultyStore([_STORED], fault), port=0, wire_log=wire) as svc:
+        url = urlparse(svc.url)
+        conn = http.client.HTTPConnection(url.hostname, url.port, timeout=5)
+        try:
+            conn.putrequest(method, target)
+            if method == "POST":
+                conn.putheader("Content-Length", str(len(body)) if length is None else length)
+            conn.endheaders(body or None)
+            resp = conn.getresponse()
+            got = (resp.status, resp.getheader("Content-Type"), json.loads(resp.read()))
+        finally:
+            conn.close()
+    assert got == (status, "application/json", response)
+    [entry] = wire
+    assert set(entry) == keys
+    assert (entry["method"], entry["path"]) == (method, urlparse(target).path)
+    assert (entry["status"], entry["response"]) == (status, response)
+    if "request" in keys:
+        assert entry["request"] == json.loads(body)
+    if "user_id" in keys:
+        assert entry["user_id"] == (parse_qs(urlparse(target).query).get("user_id") or [None])[0]
 
 
 # --- client flows ---
