@@ -10,10 +10,11 @@ operation can be retried.
 
 from __future__ import annotations
 
+import http.client
+import json
 import random
 from pathlib import Path
-
-import requests
+from urllib.parse import urlencode, urlsplit
 
 from .aligner import MatchParams
 from .decoder import DEFAULT_STRATEGY, SubsetStrategy, decode_vault
@@ -30,39 +31,58 @@ from .store import (
 from .vault import VaultParams, encode_vault
 
 _TIMEOUT = 10.0  # seconds per HTTP request
+# HTTPSConnection's default context verifies the store's certificate
+_CONNECTIONS = {"http": http.client.HTTPConnection, "https": http.client.HTTPSConnection}
 
 
 class UnknownUser(Exception):
     """No vaults are enrolled under the given user id."""
 
 
-def _request(send, server_url: str, expected: int, **kwargs) -> dict:
-    """The JSON object the store answers on /vaults; send is requests.get or .post.
+def _request(method: str, server_url: str, expected: int, query: str = "",
+             payload: dict | None = None) -> dict:
+    """The JSON object the store answers on /vaults?query; no proxy is consulted.
 
-    Raises DocumentInvalid on a 400, and StorageUnavailable when the store
-    cannot be reached, answers another status, or sends no JSON object.
+    Raises DocumentInvalid on a 400, and StorageUnavailable when the URL is
+    not http(s) with a host and a valid port, the store cannot be reached,
+    answers another status, or sends no JSON object.
     """
+    headers = {} if payload is None else {"Content-Type": "application/json"}
     try:
-        resp = send(f"{server_url.rstrip('/')}/vaults", timeout=_TIMEOUT, **kwargs)
-    except requests.RequestException as exc:
+        body = None if payload is None else json.dumps(payload, allow_nan=False).encode()
+        url = urlsplit(f"{server_url.rstrip('/')}/vaults")
+        connection = _CONNECTIONS.get(url.scheme)
+        port = url.port  # ValueError unless a number in [0, 65535]
+        if connection is None or not url.hostname:
+            raise ValueError(f"{server_url!r} is not an http or https URL with a host")
+        # an explicit port keeps http.client from reading one out of an IPv6 host
+        port = connection.default_port if port is None else port
+        conn = connection(url.hostname, port, timeout=_TIMEOUT)
+        try:
+            conn.request(method, f"{url.path}?{query}" if query else url.path, body, headers)
+            resp = conn.getresponse()
+            status, raw = resp.status, resp.read()
+        finally:
+            conn.close()
+    except (OSError, ValueError, http.client.HTTPException) as exc:
         raise StorageUnavailable(f"cannot reach vault store: {exc}") from exc
     try:
-        body = resp.json()
+        reply = json.loads(raw)
     except ValueError:
-        body = None
-    if resp.status_code == 400:
-        error = body.get("error") if isinstance(body, dict) else None
+        reply = None
+    if status == 400:
+        error = reply.get("error") if isinstance(reply, dict) else None
         raise DocumentInvalid(error if isinstance(error, str) else "request rejected")
-    if resp.status_code != expected:
-        raise StorageUnavailable(f"vault store returned status {resp.status_code}")
-    if not isinstance(body, dict):
+    if status != expected:
+        raise StorageUnavailable(f"vault store returned status {status}")
+    if not isinstance(reply, dict):
         raise StorageUnavailable("vault store sent a reply that is not a JSON object")
-    return body
+    return reply
 
 
 def _get_vaults(server_url: str, user_id: str) -> tuple[list[VaultDocument], int]:
     """The user's readable vault documents and the count of unreadable ones."""
-    body = _request(requests.get, server_url, 200, params={"user_id": user_id})
+    body = _request("GET", server_url, 200, urlencode({"user_id": user_id}))
     vaults = body.get("vaults", [])
     if not isinstance(vaults, list):
         raise StorageUnavailable(f"vault store sent a bad vault list {vaults!r}")
@@ -93,7 +113,7 @@ def enroll(
     template = read_template(template_path, params.width, params.height)
     vault, secret = encode_vault(template, params, rng)
     payload = document_to_dict(document_from_vault(vault, user_id))
-    body = _request(requests.post, server_url, 201, json=payload)
+    body = _request("POST", server_url, 201, payload=payload)
     object_id = body.get("object_id")
     if not isinstance(object_id, str) or not object_id:
         raise StorageUnavailable(f"enrollment not acknowledged (object id {object_id!r})")

@@ -15,10 +15,11 @@ file that is corrupt or breaks the schema is a server fault, not a
 client one: the user's readable vaults come back with 200 and an
 ``"unreadable": n`` count, and if no file is readable the answer is
 503.  A client that stops sending mid-request is dropped after
-_READ_TIMEOUT seconds instead of holding a handler thread.  The server
-is a stdlib ThreadingHTTPServer; it exists so the client code and the
-tests can exercise the real wire format, not to be an internet-facing
-deployment.
+_READ_TIMEOUT seconds instead of holding a handler thread, and one that
+hangs up before its reply is written is dropped without a traceback.
+The server is a stdlib ThreadingHTTPServer; it exists so the client
+code and the tests can exercise the real wire format, not to be an
+internet-facing deployment.
 """
 
 from __future__ import annotations
@@ -84,10 +85,9 @@ class VaultStoreService:
                 return 200, payload
 
             def post_vault(self, query: str, logged: dict) -> tuple[int, dict]:
-                try:
-                    length = int(self.headers.get("Content-Length") or 0)
-                except ValueError:
-                    length = 0
+                # ASCII digits, few enough for int(), which alone also takes "+10" and "1_0"
+                raw = (self.headers.get("Content-Length") or "").strip(" \t")
+                length = int(raw) if raw.isascii() and raw.isdigit() and len(raw) < 20 else 0
                 if length <= 0 or length > _MAX_BODY:
                     raise DocumentInvalid("missing, malformed or oversized body")
                 try:
@@ -118,11 +118,14 @@ class VaultStoreService:
                 if service.wire_log is not None:
                     service.wire_log.append({**logged, "status": status, "response": payload})
                 body = json.dumps(payload).encode()
-                self.send_response(status)
-                self.send_header("Content-Type", "application/json")
-                self.send_header("Content-Length", str(len(body)))
-                self.end_headers()
-                self.wfile.write(body)
+                try:
+                    self.send_response(status)
+                    self.send_header("Content-Type", "application/json")
+                    self.send_header("Content-Length", str(len(body)))
+                    self.end_headers()
+                    self.wfile.write(body)
+                except (BrokenPipeError, ConnectionResetError):
+                    self.close_connection = True  # the client hung up; nobody to answer
 
             def do_GET(self):
                 self._serve("GET")

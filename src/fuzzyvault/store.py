@@ -24,6 +24,7 @@ from .vault import (
     check_integer,
     check_keys,
     check_point_pairs,
+    points_from_pairs,
 )
 
 _USER_ID_RE = re.compile(r"[A-Za-z0-9._-]{1,64}")
@@ -117,12 +118,8 @@ def validate_document_dict(data, require_id: bool) -> None:
 
 def document_from_dict(data, require_id: bool = True) -> VaultDocument:
     validate_document_dict(data, require_id)
-    return VaultDocument(
-        object_id=data.get("id"),
-        user_id=data["user_id"],
-        degree=data["n"],
-        points=tuple(VaultPoint(x, y) for x, y in data["points"]),
-    )
+    points = points_from_pairs(data["points"])
+    return VaultDocument(data.get("id"), data["user_id"], data["n"], points)
 
 
 class MemoryVaultStore:
@@ -147,7 +144,7 @@ class MemoryVaultStore:
 
 
 class FileVaultStore:
-    """One JSON file per vault under root/<user_id>/<object_id>.json.
+    """One compact JSON file per vault under root/<user_id>/<object_id>.json.
 
     Writes go through a temp file plus fsync plus os.replace, so a
     crash can leave a stale temp file but never a half-written document;
@@ -173,10 +170,12 @@ class FileVaultStore:
             return self._user_locks.setdefault(user_id, threading.Lock())
 
     def put(self, doc: VaultDocument) -> str:
-        validate_document_dict(document_to_dict(doc), require_id=doc.object_id is not None)
+        data = document_to_dict(doc)
+        validate_document_dict(data, require_id=doc.object_id is not None)
         object_id = doc.object_id or uuid.uuid4().hex
-        stored = VaultDocument(object_id, doc.user_id, doc.degree, doc.points)
-        payload = json.dumps(document_to_dict(stored), indent=2).encode()
+        # compact JSON, which the C encoder writes (indent=2 forces the Python
+        # one); files written indented still load
+        payload = json.dumps({"id": object_id, **data}, separators=(",", ":")).encode()
         user_dir = self.root / doc.user_id
         final = user_dir / f"{object_id}.json"
         tmp = user_dir / f".{object_id}.tmp"

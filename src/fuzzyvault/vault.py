@@ -215,12 +215,29 @@ def check_point_pairs(pairs) -> None:
     if not isinstance(pairs, list):
         raise ValueError("points must be a list")
     for i, entry in enumerate(pairs):
+        # a list of two plain ints passes on one test; anything else gets the full rule
+        if type(entry) is list and len(entry) == 2:
+            x, y = entry
+            if type(x) is int and type(y) is int and 0 <= x < _WORD_LIMIT and 0 <= y < _WORD_LIMIT:
+                continue
         if not isinstance(entry, list) or len(entry) != 2:
             raise ValueError(f"points[{i}] must be a [X, Y] pair")
         for coord in entry:
             check_integer(coord, f"points[{i}] coordinates")
             if not 0 <= coord < _WORD_LIMIT:
                 raise ValueError(f"points[{i}] coordinates must fit in {WORD_BITS} bits")
+
+
+def points_from_pairs(pairs) -> tuple[VaultPoint, ...]:
+    """VaultPoint(X, Y) for each pair that check_point_pairs passed, set
+    field by field as the frozen dataclass __init__ does, without its
+    Python call per point: a stored document has hundreds."""
+    points = tuple(map(object.__new__, [VaultPoint] * len(pairs)))
+    set_field = object.__setattr__
+    for point, (x, y) in zip(points, pairs):
+        set_field(point, "X", x)
+        set_field(point, "Y", y)
+    return points
 
 
 # Local vault file parameters, in file order: JSON key -> VaultParams field.
@@ -265,7 +282,7 @@ def vault_from_dict(data) -> Vault:
         check_point_pairs(data["points"])
     except ValueError as exc:
         raise ValueError(f"malformed vault document: {exc}") from exc
-    points = tuple(VaultPoint(x, y) for x, y in data["points"])
+    points = points_from_pairs(data["points"])
     if len(points) != params.vault_size:
         raise ValueError(f"expected {params.vault_size} points, found {len(points)}")
     return Vault(params, points)

@@ -2,6 +2,8 @@
 
 import importlib
 import importlib.util
+import os
+import subprocess
 import sys
 from pathlib import Path
 
@@ -11,6 +13,17 @@ from fuzzyvault.store import FileVaultStore, MemoryVaultStore
 
 def test_every_exported_name_resolves():
     assert [name for name in fuzzyvault.__all__ if not hasattr(fuzzyvault, name)] == []
+
+
+def test_import_does_not_load_requests():
+    # the client speaks http.client; requests is only a test and benchmark dependency
+    src = str(Path(fuzzyvault.__file__).resolve().parent.parent)
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    code = ("import sys, fuzzyvault, fuzzyvault.cli; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'requests'))")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env,
+                          timeout=60, check=True)
+    assert proc.stdout.strip() == "[]"
 
 
 def test_benchmark_wrap_points_resolve(monkeypatch):

@@ -14,9 +14,11 @@ import requests
 from hypothesis import given, settings, strategies as st
 
 from fuzzyvault.aligner import MatchParams
+from fuzzyvault import client as client_module
 from fuzzyvault.client import UnknownUser, enroll, verify
 from fuzzyvault.decoder import ITERATIVE_SELECTION, SubsetStrategy
 from fuzzyvault.evaluation import BUILTIN_CONFIGS, perturb_template, synth_template
+from fuzzyvault.minutiae import read_template
 from fuzzyvault import service as service_module
 from fuzzyvault.service import VaultStoreService
 from fuzzyvault.store import (
@@ -217,6 +219,46 @@ def test_file_store_skips_dotfiles(tmp_path):
     assert len(store.fetch("bob")) == 1
 
 
+# A file in the layout earlier stores wrote, json.dumps(..., indent=2).
+_INDENTED_FILE = """{
+  "id": "0f1e2d3c",
+  "user_id": "bob",
+  "n": 1,
+  "points": [
+    [
+      7,
+      4294967295
+    ],
+    [
+      0,
+      12
+    ]
+  ]
+}"""
+
+
+def test_file_store_reads_indented_files(tmp_path):
+    root = tmp_path / "vaults"
+    store = FileVaultStore(root)
+    (root / "bob").mkdir()
+    (root / "bob" / "0f1e2d3c.json").write_text(_INDENTED_FILE)
+    assert store.fetch("bob") == [
+        VaultDocument("0f1e2d3c", "bob", 1, (VaultPoint(7, 2**32 - 1), VaultPoint(0, 12)))
+    ]
+
+
+def test_file_store_writes_compact_files(tmp_path):
+    root = tmp_path / "vaults"
+    store = FileVaultStore(root)
+    doc = make_doc(user_id="bob")
+    object_id = store.put(doc)
+    raw = (root / "bob" / f"{object_id}.json").read_bytes()
+    stored = VaultDocument(object_id, "bob", doc.degree, doc.points)
+    assert raw == json.dumps(document_to_dict(stored), separators=(",", ":")).encode()
+    assert b" " not in raw and b"\n" not in raw
+    assert store.fetch("bob") == [stored]
+
+
 # A stored file that is not JSON, and one that is JSON but breaks the schema.
 _CORRUPT_FILES = [
     "{ not json",
@@ -376,6 +418,26 @@ def test_service_drops_a_client_that_stops_mid_body(monkeypatch):
         assert requests.get(f"{svc.url}/health", timeout=5).status_code == 200
 
 
+def test_service_survives_a_client_that_hangs_up_mid_body(capfd):
+    # the short body is answered 400 into a closed socket; the write fails
+    # and must not reach socketserver's traceback printer
+    wire = []
+    with VaultStoreService(MemoryVaultStore(), port=0, wire_log=wire) as svc:
+        url = urlparse(svc.url)
+        before = set(threading.enumerate())
+        with socket.create_connection((url.hostname, url.port), timeout=5) as sock:
+            sock.sendall(b"POST /vaults HTTP/1.1\r\nHost: x\r\nContent-Length: 100\r\n\r\n{\"a\":")
+        deadline = time.monotonic() + 5
+        while not wire and time.monotonic() < deadline:
+            time.sleep(0.01)
+        assert [(e["method"], e["status"]) for e in wire] == [("POST", 400)]
+        for handler in set(threading.enumerate()) - before:
+            handler.join(timeout=5)  # its reply write, and any traceback, are done
+            assert not handler.is_alive()
+        assert requests.get(f"{svc.url}/health", timeout=5).status_code == 200
+    assert "Traceback" not in capfd.readouterr().err
+
+
 def test_service_stop_is_prompt():
     # serve_forever only notices shutdown between polls, so a long poll
     # interval would show here as up to that long per stop
@@ -412,6 +474,7 @@ _STORED = make_doc(object_id="v1")
 _STORED_DICT = document_to_dict(_STORED)
 _WIRE_DOC = json.dumps(document_to_dict(make_doc())).encode()
 _BAD_SCHEMA = json.dumps({**document_to_dict(make_doc()), "minutiae": [[1, 2, 3]]}).encode()
+_TEN_BYTES = b'{"n": 123}'
 _GET_KEYS = {"method", "path", "status", "response"}
 _USER_KEYS = _GET_KEYS | {"user_id"}
 _BODY_KEYS = _GET_KEYS | {"request"}
@@ -445,6 +508,11 @@ _FAULT_MAP = {
                      400, {"error": "missing, malformed or oversized body"}, _GET_KEYS),
     "post-bad-length": ("POST", "/vaults", b"{}", "abc", None,
                         400, {"error": "missing, malformed or oversized body"}, _GET_KEYS),
+    # int() reads both as 10, the body's length; only ASCII digits are a length
+    "post-length-underscore": ("POST", "/vaults", _TEN_BYTES, "1_0", None,
+                               400, {"error": "missing, malformed or oversized body"}, _GET_KEYS),
+    "post-length-signed": ("POST", "/vaults", _TEN_BYTES, " +10 ", None,
+                           400, {"error": "missing, malformed or oversized body"}, _GET_KEYS),
     "post-oversized": ("POST", "/vaults", b"", str(9 << 20), None,
                        400, {"error": "missing, malformed or oversized body"}, _GET_KEYS),
     "post-bad-json": ("POST", "/vaults", b"{ nope", None, None,
@@ -649,6 +717,76 @@ def test_client_keeps_files_when_store_unreachable(tmp_path):
     assert probe_path.exists()  # no decision was reached
 
 
+def _assert_no_decision(tmp_path, url):
+    """enroll and verify against url raise StorageUnavailable and keep their files."""
+    template_path = tmp_path / "enroll.xyt"
+    write_template(template_path, synth_template(110, 40))
+    with pytest.raises(StorageUnavailable):
+        enroll(template_path, "nina", url, small_params(), random.Random(111))
+    assert template_path.exists()
+    probe_path = tmp_path / "probe.xyt"
+    write_template(probe_path, synth_template(112, 40))
+    with pytest.raises(StorageUnavailable):
+        verify(probe_path, "nina", url, small_params(),
+               MatchParams(12, 12, 12, 15), ITERATIVE, random.Random(113))
+    assert probe_path.exists()
+
+
+@pytest.mark.parametrize("url", ["http://127.0.0.1:99999", "http://127.0.0.1:http",
+                                 "ftp://127.0.0.1:9", "http:///vaults", "127.0.0.1:9",
+                                 "http://[::1"])
+def test_client_keeps_files_on_a_bad_store_url(tmp_path, url):
+    _assert_no_decision(tmp_path, url)
+
+
+def test_client_speaks_tls_to_an_https_url(tmp_path, live):
+    # the handshake fails against the plain-HTTP store: no decision, files kept
+    _assert_no_decision(tmp_path, live.url.replace("http://", "https://"))
+
+
+@pytest.fixture
+def listener():
+    """A TCP socket that listens on 127.0.0.1 but is not an HTTP server."""
+    with socket.create_server(("127.0.0.1", 0)) as sock:
+        yield sock
+
+
+def test_client_keeps_files_when_the_store_hangs_up(tmp_path, listener):
+    def hang_up():
+        for _ in range(2):  # one enroll, one verify
+            conn, _ = listener.accept()
+            with conn:
+                conn.recv(65536)
+
+    thread = threading.Thread(target=hang_up, daemon=True)
+    thread.start()
+    _assert_no_decision(tmp_path, f"http://127.0.0.1:{listener.getsockname()[1]}")
+    thread.join(timeout=5)
+    assert not thread.is_alive()
+
+
+def test_client_keeps_files_when_the_store_never_answers(tmp_path, listener, monkeypatch):
+    # the kernel completes the handshake; nothing ever reads or replies
+    monkeypatch.setattr(client_module, "_TIMEOUT", 0.2)
+    t0 = time.perf_counter()
+    _assert_no_decision(tmp_path, f"http://127.0.0.1:{listener.getsockname()[1]}")
+    assert time.perf_counter() - t0 < 3
+
+
+def test_client_dials_the_store_directly(tmp_path, live, monkeypatch):
+    # a proxy variable pointing at nothing must not matter
+    for scheme in ("http", "https", "all"):
+        for name in (f"{scheme}_proxy", f"{scheme.upper()}_PROXY"):
+            monkeypatch.setenv(name, "http://127.0.0.1:9")
+    monkeypatch.delenv("no_proxy", raising=False)
+    monkeypatch.delenv("NO_PROXY", raising=False)
+    template_path = tmp_path / "enroll.xyt"
+    write_template(template_path, synth_template(114, 40))
+    object_id, _ = enroll(template_path, "omar", live.url, small_params(), random.Random(115))
+    assert not template_path.exists()
+    assert [d.object_id for d in live.store.fetch("omar")] == [object_id]
+
+
 class _CannedReply(BaseHTTPRequestHandler):
     """Answers every request with the server's canned (status, body)."""
 
@@ -656,7 +794,8 @@ class _CannedReply(BaseHTTPRequestHandler):
         pass
 
     def _answer(self):
-        self.rfile.read(int(self.headers.get("Content-Length") or 0))
+        body = self.rfile.read(int(self.headers.get("Content-Length") or 0))
+        self.server.seen.append((self.command, self.path, self.headers.get("Content-Type"), body))
         status, body = self.server.reply
         self.send_response(status)
         self.send_header("Content-Type", "application/json")
@@ -671,6 +810,7 @@ class _CannedReply(BaseHTTPRequestHandler):
 def canned():
     server = ThreadingHTTPServer(("127.0.0.1", 0), _CannedReply)
     server.url = f"http://127.0.0.1:{server.server_address[1]}"
+    server.seen = []  # (method, path, Content-Type, body) of each request
     thread = threading.Thread(target=server.serve_forever, args=(0.05,), daemon=True)
     thread.start()
     yield server
@@ -704,6 +844,26 @@ def test_client_unacknowledged_enroll_keeps_template(tmp_path, canned, body):
     with pytest.raises(StorageUnavailable, match="not acknowledged|not a JSON object"):
         enroll(template_path, "mona", canned.url, small_params(), random.Random(109))
     assert template_path.exists()  # retriable: the template survives
+
+
+def test_client_wire_requests(tmp_path, canned):
+    # POST carries exactly json.dumps of the wire document; GET only the query
+    params = small_params()
+    template_path, copy_path = tmp_path / "enroll.xyt", tmp_path / "copy.xyt"
+    for path in (template_path, copy_path):
+        write_template(path, synth_template(116, 40))
+    canned.reply = (201, b'{"object_id": "v9"}')
+    assert enroll(template_path, "pia", canned.url + "/", params, random.Random(117))[0] == "v9"
+    vault, _ = encode_vault(read_template(copy_path, params.width, params.height), params,
+                            random.Random(117))
+    body = json.dumps(document_to_dict(document_from_vault(vault, "pia"))).encode()
+
+    canned.reply = (200, b'{"vaults": []}')
+    with pytest.raises(UnknownUser):
+        verify(copy_path, "pia", canned.url, params, MatchParams(12, 12, 12, 15), ITERATIVE,
+               random.Random(118))
+    assert canned.seen == [("POST", "/vaults", "application/json", body),
+                           ("GET", "/vaults?user_id=pia", None, b"")]
 
 
 def test_client_multiple_vaults_disjunction(tmp_path, live):

@@ -1,11 +1,14 @@
 """Secret layout, chaff constraints and vault generation transcripts."""
 
+import enum
 import math
 import random
 import zlib
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+import points_oracle as oracle
 from fuzzyvault import gf32
 from fuzzyvault.evaluation import synth_template
 from fuzzyvault.minutiae import ChaffExhausted, InsufficientMinutiae, decode_minutia, encode_minutia
@@ -14,12 +17,14 @@ from fuzzyvault.vault import (
     Vault,
     VaultParams,
     VaultPoint,
+    check_point_pairs,
     crc32_append,
     encode_vault,
     generate_chaff,
     generate_secret,
     genuine_indices,
     join_coefficients,
+    points_from_pairs,
     secret_polynomial,
     split_coefficients,
     vault_from_dict,
@@ -218,6 +223,63 @@ def test_vault_from_dict_rejects_uncoerced_points(pair):
     data["points"][5] = pair
     with pytest.raises(ValueError, match=r"points\[5\]"):
         vault_from_dict(data)
+
+
+class _Word(int):
+    pass
+
+
+class _Flag(enum.IntEnum):
+    ON = 1
+
+
+class _Pair(list):
+    pass
+
+
+# every kind of coordinate the rule must judge: plain ints at and past both
+# ends of the range, bools, floats, strings, None, and int subclasses
+_COORDS = st.one_of(
+    st.integers(-3, 3),
+    st.integers(2**32 - 3, 2**32 + 3),
+    st.integers(),
+    st.sampled_from([True, False, 1.0, 2.5, float("nan"), -0.0, "7", None, _Flag.ON]),
+    st.integers(0, 2**32).map(_Word),
+)
+_ENTRIES = st.one_of(
+    st.lists(_COORDS, min_size=2, max_size=2),
+    st.lists(_COORDS, max_size=4),  # mostly the wrong length
+    st.tuples(_COORDS, _COORDS),
+    st.lists(_COORDS, min_size=2, max_size=2).map(_Pair),
+    st.sampled_from([None, 5, "[1, 2]", {"X": 1, "Y": 2}]),
+)
+
+
+def _verdict(check, pairs):
+    try:
+        check(pairs)
+    except ValueError as exc:
+        return str(exc)
+    return None
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.one_of(st.lists(_ENTRIES, max_size=6),
+                 st.lists(st.lists(st.integers(0, 2**32 - 1), min_size=2, max_size=2), max_size=6),
+                 st.sampled_from([None, (), {}, "points", ((1, 2),)])))
+def test_point_rule_matches_oracle(pairs):
+    assert _verdict(check_point_pairs, pairs) == _verdict(oracle.check_point_pairs, pairs)
+
+
+def test_points_from_pairs_builds_the_same_points():
+    pairs = [[0, 2**32 - 1], [5, 7], [_Word(3), _Flag.ON]]
+    built = points_from_pairs(pairs)
+    assert built == tuple(VaultPoint(x, y) for x, y in pairs)
+    assert [vars(p) for p in built] == [vars(VaultPoint(x, y)) for x, y in pairs]
+    assert [hash(p) for p in built] == [hash(VaultPoint(x, y)) for x, y in pairs]
+    assert all(type(p) is VaultPoint for p in built)
+    with pytest.raises(AttributeError):  # still frozen
+        built[0].X = 1
 
 
 DROP = object()
