@@ -28,6 +28,7 @@ from .client import verify as client_verify
 from .decoder import (
     RANDOM_SELECTION,
     VARIANTS,
+    CapacityError,
     SubsetStrategy,
     decode_vault,
     try_unlock,
@@ -55,7 +56,8 @@ from .vault import (
 
 # Typed errors any subcommand may end in; the package's own input and
 # schema errors are ValueError subclasses.
-_USAGE_ERRORS = (InsufficientMinutiae, ChaffExhausted, StorageUnavailable, ValueError, OSError)
+_USAGE_ERRORS = (InsufficientMinutiae, ChaffExhausted, CapacityError, StorageUnavailable,
+                 ValueError, OSError)
 
 
 def _fail(exc) -> None:
@@ -273,7 +275,7 @@ def auth(user_id, probe_path, server, config_name, strategy_name, cap, width, he
     """Verify a probe against every vault stored under --id.
 
     Exit 0 accept, 1 reject, 3 unknown user, 2 error.  The probe file is
-    deleted once a decision is reached.
+    deleted on 0, 1 and 3 and kept on 2.
     """
     cfg = BUILTIN_CONFIGS[config_name]
     try:

@@ -3,9 +3,11 @@
 All template processing happens here, on the client.  The server only
 ever sees vault documents, and local template files are destroyed the
 moment they are no longer needed: after the store acknowledges an
-enrollment, and after a verification reaches a decision.  A transport
-or storage failure is not a decision, so the file survives it and the
-operation can be retried.
+enrollment, and after a verification reaches a decision.  A probe is
+deleted only when verify returns or raises UnknownUser; every other
+exception (a transport or storage failure, a probe too sparse to
+decode, a strategy past its budget) is no decision, so the file
+survives it and the operation can be retried.
 """
 
 from __future__ import annotations
@@ -132,33 +134,27 @@ def verify(
 ) -> bool:
     """True if any vault enrolled under user_id unlocks with this probe.
 
-    The probe file is deleted once a decision is reached, accept or
-    reject.  If the store cannot be reached (StorageUnavailable), or a
-    stored vault does not fit params (DocumentInvalid), there is no
-    decision and the probe is kept.  When some of the user's vault files
-    are corrupt, a readable vault that unlocks is still an accept; if
-    none unlocks, an unreadable one might have, so StorageUnavailable is
-    raised without a decision.  Raises UnknownUser when the id has no
-    vaults.
+    The probe file is deleted only when this returns (accept or reject)
+    or raises UnknownUser (the id has no vaults).  Any other exception is
+    no decision and keeps the probe: the store cannot be reached
+    (StorageUnavailable), a stored vault does not fit params
+    (DocumentInvalid), the probe has too few minutiae
+    (InsufficientMinutiae) or the strategy exceeds its budget
+    (CapacityError).  When some of the user's vault files are corrupt, a
+    readable vault that unlocks is still an accept; if none unlocks, an
+    unreadable one might have, so StorageUnavailable is raised.
     """
     if rng is None:
         rng = random.Random()
     probe_path = Path(probe_path)
     probe = read_template(probe_path, params.width, params.height)
-    docs, unreadable = _get_vaults(server_url, user_id)  # probe survives a store outage
-    # a vault for another configuration is no decision either
+    docs, unreadable = _get_vaults(server_url, user_id)
     vaults = [vault_from_document(doc, params) for doc in docs]
-    decided = True
-    try:
-        if not vaults and not unreadable:
-            raise UnknownUser(f"no vaults enrolled for user id {user_id!r}")
-        for vault in vaults:
-            if decode_vault(vault, probe, match_params, strategy, rng).matched:
-                return True
-        if unreadable:
-            decided = False
-            raise StorageUnavailable(f"no readable vault unlocked and {unreadable} are unreadable")
-        return False
-    finally:
-        if decided:
-            probe_path.unlink(missing_ok=True)
+    if not vaults and not unreadable:
+        probe_path.unlink(missing_ok=True)
+        raise UnknownUser(f"no vaults enrolled for user id {user_id!r}")
+    accepted = any(decode_vault(v, probe, match_params, strategy, rng).matched for v in vaults)
+    if not accepted and unreadable:
+        raise StorageUnavailable(f"no readable vault unlocked and {unreadable} are unreadable")
+    probe_path.unlink(missing_ok=True)
+    return accepted

@@ -16,7 +16,6 @@ from __future__ import annotations
 import itertools
 import math
 import time
-import zlib
 from dataclasses import dataclass
 from random import Random
 from typing import Iterable, Iterator, Sequence
@@ -26,7 +25,7 @@ import numpy as np
 from . import gf32
 from .aligner import MatchParams, build_geometric_table, match_margins_many
 from .minutiae import Template, decode_minutia, select_minutiae
-from .vault import Vault, VaultPoint, WORD_BYTES, join_coefficients
+from .vault import Vault, VaultPoint, secret_from_polynomial
 
 ITERATIVE_SELECTION = "iterative-selection"
 RANDOM_GENERATION = "random-generation"
@@ -126,12 +125,7 @@ def try_unlock(subset: Sequence[VaultPoint], degree: int) -> bytes | None:
     pts = [(p.X, p.Y) for p in subset]
     if len({x for x, _ in pts}) != len(pts):
         return None
-    coeffs = gf32.lagrange_interpolate(pts, degree)
-    blob = join_coefficients(coeffs)
-    body, tail = blob[:-WORD_BYTES], blob[-WORD_BYTES:]
-    if zlib.crc32(body) != int.from_bytes(tail, "big"):
-        return None
-    return body
+    return secret_from_polynomial(gf32.lagrange_interpolate(pts, degree))
 
 
 def decode_vault(

@@ -146,9 +146,12 @@ class MemoryVaultStore:
 class FileVaultStore:
     """One compact JSON file per vault under root/<user_id>/<object_id>.json.
 
-    Writes go through a temp file plus fsync plus os.replace, so a
-    crash can leave a stale temp file but never a half-written document;
-    construction removes the temp files a crashed writer left behind, so
+    Each write goes to its own uniquely named dot-prefixed temp file,
+    then fsync, then os.replace, so a crash can leave a stale temp file
+    but never a half-written document.  fetch lists only non-dot *.json
+    files, so a reader sees a whole document or none, and of two puts
+    with the same object_id the last replace wins; no lock is held.
+    Construction removes the temp files a crashed writer left behind, so
     one store object must own its root.  fetch raises UnreadableVaults,
     carrying the readable documents, when any of the user's files is
     corrupt.
@@ -162,12 +165,6 @@ class FileVaultStore:
                 stale.unlink(missing_ok=True)
         except OSError as exc:
             raise StorageUnavailable(f"cannot create store root {self.root}: {exc}") from exc
-        self._locks_guard = threading.Lock()
-        self._user_locks: dict[str, threading.Lock] = {}
-
-    def _user_lock(self, user_id: str) -> threading.Lock:
-        with self._locks_guard:
-            return self._user_locks.setdefault(user_id, threading.Lock())
 
     def put(self, doc: VaultDocument) -> str:
         data = document_to_dict(doc)
@@ -178,17 +175,16 @@ class FileVaultStore:
         payload = json.dumps({"id": object_id, **data}, separators=(",", ":")).encode()
         user_dir = self.root / doc.user_id
         final = user_dir / f"{object_id}.json"
-        tmp = user_dir / f".{object_id}.tmp"
-        with self._user_lock(doc.user_id):
-            try:
-                user_dir.mkdir(exist_ok=True)
-                with open(tmp, "wb") as fh:
-                    fh.write(payload)
-                    fh.flush()
-                    os.fsync(fh.fileno())
-                os.replace(tmp, final)
-            except OSError as exc:
-                raise StorageUnavailable(f"cannot persist vault: {exc}") from exc
+        tmp = user_dir / f".{uuid.uuid4().hex}.tmp"
+        try:
+            user_dir.mkdir(exist_ok=True)
+            with open(tmp, "xb") as fh:
+                fh.write(payload)
+                fh.flush()
+                os.fsync(fh.fileno())
+            os.replace(tmp, final)
+        except OSError as exc:
+            raise StorageUnavailable(f"cannot persist vault: {exc}") from exc
         return object_id
 
     def fetch(self, user_id: str) -> list[VaultDocument]:
@@ -198,20 +194,19 @@ class FileVaultStore:
             return []
         docs = []
         corrupt = []
-        with self._user_lock(user_id):
-            try:
-                paths = sorted(p for p in user_dir.glob("*.json") if not p.name.startswith("."))
-                for path in paths:
-                    with open(path, "rb") as fh:
-                        raw = fh.read()
-                    try:
-                        docs.append(document_from_dict(json.loads(raw), require_id=True))
-                    except ValueError as exc:
-                        # bad JSON, bad encoding or a schema violation: the
-                        # request was fine, the store is not
-                        corrupt.append(f"{path.name}: {exc}")
-            except OSError as exc:
-                raise StorageUnavailable(f"cannot read vaults: {exc}") from exc
+        try:
+            paths = sorted(p for p in user_dir.glob("*.json") if not p.name.startswith("."))
+            for path in paths:
+                with open(path, "rb") as fh:
+                    raw = fh.read()
+                try:
+                    docs.append(document_from_dict(json.loads(raw), require_id=True))
+                except ValueError as exc:
+                    # bad JSON, bad encoding or a schema violation: the
+                    # request was fine, the store is not
+                    corrupt.append(f"{path.name}: {exc}")
+        except OSError as exc:
+            raise StorageUnavailable(f"cannot read vaults: {exc}") from exc
         if corrupt:
             raise UnreadableVaults(
                 f"corrupt vault file: {'; '.join(corrupt)}", readable=docs, unreadable=len(corrupt)

@@ -109,6 +109,15 @@ def secret_polynomial(secret: bytes, degree: int) -> list[int]:
     return split_coefficients(crc32_append(secret), degree)
 
 
+def secret_from_polynomial(coefficients: Sequence[int]) -> bytes | None:
+    """Inverse of secret_polynomial: the secret, or None if the CRC fails."""
+    blob = join_coefficients(coefficients)
+    body, tail = blob[:-WORD_BYTES], blob[-WORD_BYTES:]
+    if zlib.crc32(body) != int.from_bytes(tail, "big"):
+        return None
+    return body
+
+
 def generate_chaff(genuine: Sequence[Minutia], params: VaultParams, rng: Random) -> list[Minutia]:
     """Draw chaff minutiae that blend in with the genuine ones.
 

@@ -287,6 +287,45 @@ def test_enroll_and_auth_flow(runner, tmp_path):
         assert result.exit_code == 3
 
 
+def assert_one_error_line(result, reason):
+    assert result.exit_code == 2
+    assert isinstance(result.exception, SystemExit)
+    [line] = result.stderr.splitlines()
+    assert line.startswith("error: ") and reason in line
+    assert "Traceback" not in result.output
+
+
+def test_verify_past_the_subset_budget_exits_two(runner, tmp_path):
+    # the genuine finger's candidate sets are too large to materialize
+    template_path = tmp_path / "f.xyt"
+    write_template(template_path, synth_template(5, 60))
+    vault_path = tmp_path / "vault.json"
+    runner.invoke(main, ["encode", "--template", str(template_path),
+                         "--out", str(vault_path), "--seed", "1"])
+    result = runner.invoke(main, ["verify", "--vault", str(vault_path),
+                                  "--probe", str(template_path),
+                                  "--strategy", "random-generation", "--seed", "2"])
+    assert_one_error_line(result, "materialization budget")
+
+
+def test_auth_past_the_subset_budget_exits_two_and_keeps_probe(runner, tmp_path):
+    svc = VaultStoreService(FileVaultStore(tmp_path / "vaults"), port=0)
+    with svc:
+        enroll_path = tmp_path / "enroll.xyt"
+        write_template(enroll_path, synth_template(5, 60))
+        result = runner.invoke(main, ["enroll", "--id", "9", "--template", str(enroll_path),
+                                      "--server", svc.url, "--seed", "1"])
+        assert result.exit_code == 0, result.stderr
+
+        probe_path = tmp_path / "probe.xyt"
+        write_template(probe_path, synth_template(5, 60))
+        result = runner.invoke(main, ["auth", "--id", "9", "--probe", str(probe_path),
+                                      "--server", svc.url,
+                                      "--strategy", "random-generation", "--seed", "2"])
+        assert_one_error_line(result, "materialization budget")
+        assert probe_path.exists()  # no decision was reached
+
+
 def test_server_env_fallback(runner, tmp_path, monkeypatch):
     svc = VaultStoreService(FileVaultStore(tmp_path / "vaults"), port=0)
     with svc:

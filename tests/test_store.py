@@ -16,9 +16,14 @@ from hypothesis import given, settings, strategies as st
 from fuzzyvault.aligner import MatchParams
 from fuzzyvault import client as client_module
 from fuzzyvault.client import UnknownUser, enroll, verify
-from fuzzyvault.decoder import ITERATIVE_SELECTION, SubsetStrategy
+from fuzzyvault.decoder import (
+    ITERATIVE_SELECTION,
+    RANDOM_GENERATION,
+    CapacityError,
+    SubsetStrategy,
+)
 from fuzzyvault.evaluation import BUILTIN_CONFIGS, perturb_template, synth_template
-from fuzzyvault.minutiae import read_template
+from fuzzyvault.minutiae import InsufficientMinutiae, read_template
 from fuzzyvault import service as service_module
 from fuzzyvault.service import VaultStoreService
 from fuzzyvault.store import (
@@ -297,25 +302,45 @@ def test_file_store_unavailable_root(tmp_path):
 
 
 def test_file_store_concurrent_puts(tmp_path):
+    # 8 writers with fresh ids, 4 writers that share one explicit id and
+    # 2 readers, all on one user: every fetch sees only whole documents
     store = FileVaultStore(tmp_path / "vaults")
     errors = []
+    writing = threading.Event()
+    writing.set()
+    expected = make_doc(user_id="crowd")
 
-    def worker():
+    def worker(object_id):
         try:
             for _ in range(5):
-                store.put(make_doc(user_id="crowd"))
+                store.put(make_doc(user_id="crowd", object_id=object_id))
         except Exception as exc:  # pragma: no cover
             errors.append(exc)
 
-    threads = [threading.Thread(target=worker) for _ in range(8)]
-    for t in threads:
+    def reader():
+        try:
+            while writing.is_set():
+                for doc in store.fetch("crowd"):
+                    assert doc.points == expected.points
+        except Exception as exc:  # pragma: no cover
+            errors.append(exc)
+
+    writers = [threading.Thread(target=worker, args=(None,)) for _ in range(8)]
+    writers += [threading.Thread(target=worker, args=("shared",)) for _ in range(4)]
+    readers = [threading.Thread(target=reader) for _ in range(2)]
+    for t in readers + writers:
         t.start()
-    for t in threads:
+    for t in writers:
+        t.join()
+    writing.clear()
+    for t in readers:
         t.join()
     assert not errors
     docs = store.fetch("crowd")
-    assert len(docs) == 40
-    assert len({d.object_id for d in docs}) == 40
+    assert len(docs) == 41
+    assert len({d.object_id for d in docs}) == 41
+    assert "shared" in {d.object_id for d in docs}
+    assert not list((tmp_path / "vaults" / "crowd").glob(".*.tmp"))
 
 
 # --- HTTP service ---
@@ -606,6 +631,24 @@ def test_client_unknown_user(tmp_path, live):
         verify(probe_path, "never-enrolled", live.url, small_params(),
                MatchParams(12, 12, 12, 15), ITERATIVE, random.Random(81))
     assert not probe_path.exists()  # unknown user is still a decision
+
+
+@pytest.mark.parametrize("probe_minutiae, strategy, error", [
+    (20, ITERATIVE, InsufficientMinutiae),  # fewer than fvc-1's genuine_count of 30
+    (60, SubsetStrategy(RANDOM_GENERATION), CapacityError),
+], ids=["sparse-probe", "past-budget"])
+def test_client_keeps_probe_when_decoding_raises(tmp_path, live, probe_minutiae, strategy, error):
+    params = CONFIG1.vault_params()
+    enroll_path = tmp_path / "enroll.xyt"
+    write_template(enroll_path, synth_template(5, 60))
+    enroll(enroll_path, "lena", live.url, params, random.Random(1))
+
+    probe_path = tmp_path / "probe.xyt"
+    write_template(probe_path, synth_template(5, probe_minutiae))
+    with pytest.raises(error):
+        verify(probe_path, "lena", live.url, params, CONFIG1.match_params(), strategy,
+               random.Random(2))
+    assert probe_path.exists()  # a fault while decoding is no decision
 
 
 def test_client_keeps_probe_when_vault_config_mismatches(tmp_path, live):

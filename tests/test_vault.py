@@ -25,6 +25,7 @@ from fuzzyvault.vault import (
     genuine_indices,
     join_coefficients,
     points_from_pairs,
+    secret_from_polynomial,
     secret_polynomial,
     split_coefficients,
     vault_from_dict,
@@ -95,6 +96,17 @@ def test_secret_polynomial_embeds_crc_as_constant_term():
     secret = random.Random(5).randbytes(32)
     coeffs = secret_polynomial(secret, 8)
     assert coeffs[0] == zlib.crc32(secret)
+
+    rng = random.Random(5)
+    for degree in range(1, 15):
+        secret = rng.randbytes(4 * degree)
+        coeffs = secret_polynomial(secret, degree)
+        assert secret_from_polynomial(coeffs) == secret
+        for power in range(degree + 1):
+            for bit in range(32):
+                flipped = list(coeffs)
+                flipped[power] ^= 1 << bit
+                assert secret_from_polynomial(flipped) is None, (degree, power, bit)
 
 
 def test_generate_chaff_counts():
