@@ -5,42 +5,41 @@ basis-relative frames: every minutia takes a turn as the origin, the
 remaining points are rigidly transformed so the basis sits at (0, 0)
 pointing along +x, and two captures of the same finger then agree in at
 least one shared basis frame no matter how the finger was shifted or
-rotated on the sensor.
+rotated on the sensor.  All orientation comparisons are circular.
 
-Tables store real-valued coordinates and all orientation comparisons
-are circular.  A table builds the row of a basis frame the first time a
-match asks for it and keeps it, so a genuine probe that unlocks after a
-few dozen vault bases never pays for the rest.  Every row is
-bit-identical to building the whole table at once, because the
-trigonometry of all basis angles is computed once per table (numpy's
-vectorized cos/sin may round an element differently depending on its
-position in the array).
+A table holds its minutiae's absolute x, y and theta and the cos/sin of
+every basis angle, computed once per table (numpy's vectorized cos/sin
+may round an element differently depending on its position in the
+array, so a basis frame indexes them instead of recomputing them).  A
+row, the whole minutia list in one basis frame, is computed when asked
+for and not kept.
 
-The threshold kernel buckets only the probe side: per call it hashes the
-probe's one basis frame into a grid of cells at least a threshold plus a
-pixel wide, so each vault point looks up the few probe minutiae in its
-neighbourhood instead of being tested against all of them.  Buckets only
-choose which pairs to test; every tested pair gets the exact float64
-slack, so the output is the same as a dense evaluation's: a vault point
-that matches gets its exact margin, every other point gets +inf, because
-callers only read which points match and in what order.
+The threshold kernel builds no vault rows.  The vault table buckets its
+absolute minutiae once, in an (x, y, theta) grid; each kernel call maps
+the probe's basis frame into the vault image through every gated vault
+basis, so each (vault basis, probe minutia) pair reads the one cell
+around its image point.  Cells only choose which pairs to test: every
+tested pair gets its vault coordinates and slack with the float64
+operations of a dense evaluation, so a vault point that matches gets its
+exact margin and every other point gets +inf, because callers only read
+which points match and in what order.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
-from .minutiae import Minutia
-
-# A probe-grid cell is at least the threshold plus this many pixels wide,
-# so a point within the threshold of a probe minutia is at most one cell away.
+# A grid cell is at least the matching radius plus this many pixels (or
+# degrees) wide, so a point that matches a query is at most one cell away.
 _CELL_PAD = 1.0
-# Caps the probe grid at about this many cells per axis; without it a zero
-# threshold would give one cell per pixel of the probe's extent.
+# Caps the grid at about this many cells per axis; without it a zero
+# threshold would give one cell per pixel of the vault's extent.
 _GRID_CELLS = 64
+
 
 @dataclass(frozen=True)
 class MatchParams:
@@ -51,60 +50,104 @@ class MatchParams:
 
     def __post_init__(self):
         for name in ("x_thres", "y_thres", "theta_thres", "theta_basis_thres"):
-            if not getattr(self, name) >= 0:  # NaN fails too
-                raise ValueError(f"{name} must be >= 0")
+            if not 0 <= getattr(self, name) < math.inf:  # NaN fails too
+                raise ValueError(f"{name} must be finite and >= 0")
         if self.theta_thres >= 180:
             raise ValueError("theta_thres must be < 180 (circular distance caps there)")
         if self.theta_basis_thres > 360:
             raise ValueError("theta_basis_thres must be <= 360")
 
 
-class GeometricTable:
-    """All basis-relative views of a minutia list, built row by row on demand.
+class _VaultGrid:
+    """Absolute minutiae bucketed in (x, y, theta) cells, in CSR form.
 
-    Row i holds every minutia transformed into the frame of basis i, so
-    ``rows([i])[0, i]`` is always the exact zero transform; the last axis
-    is x/y/theta.  ``rows`` computes a row the first time it is asked
-    for, with the same float64 operations as a whole-table build, and
-    keeps it for later calls.  Rows are bit-identical to that build
-    because cos/sin of all basis angles are computed once, here, and
-    indexed per row.  ``thetas`` (the basis angles) is available
-    without building any row.
+    The x/y cell edge is max(hypot(x_thres, y_thres) + _CELL_PAD,
+    span / _GRID_CELLS), span being the larger extent of the minutiae.
+    The theta cells split the circle evenly, each at least theta_thres +
+    _CELL_PAD wide; when fewer than three fit there is one theta cell.
+    Each minutia is entered into its own cell and the 26 around it (the 8
+    around it with one theta cell), so reading the cell of a query finds
+    every minutia less than one cell away from it on each axis.  Queries
+    past the grid's border read a last, empty cell.
     """
 
-    def __init__(self, sources: Iterable[Minutia]):
-        self.sources = tuple(sources)
-        k = len(self.sources)
-        if k == 0:
+    def __init__(self, xs, ys, thetas, params: MatchParams):
+        self.params = params
+        self.edge = max(math.hypot(params.x_thres, params.y_thres) + _CELL_PAD,
+                        max(np.ptp(xs), np.ptp(ys)) / _GRID_CELLS)
+        fit = int(360.0 // (params.theta_thres + _CELL_PAD))
+        self.nt = min(fit, _GRID_CELLS) if fit >= 3 else 1
+        self.width = 360.0 / self.nt
+        # one spare cell on each side
+        self.x0 = np.floor(xs.min() / self.edge) - 1.0
+        self.y0 = np.floor(ys.min() / self.edge) - 1.0
+        self.nx = np.floor(xs.max() / self.edge) - self.x0 + 2.0
+        self.ny = np.floor(ys.max() / self.edge) - self.y0 + 2.0
+        self.empty = int(self.nx * self.ny * self.nt)
+        near = np.array([-1.0, 0.0, 1.0])
+        near_t = near if self.nt >= 3 else np.zeros(1)
+        cx, cy, ct = self._axes(xs, ys, thetas)
+        cells = (((cx[:, None] + near)[:, :, None, None] * self.ny
+                  + (cy[:, None] + near)[:, None, :, None]) * self.nt
+                 + ((ct[:, None] + near_t) % self.nt)[:, None, None, :])
+        cells = cells.reshape(len(xs), -1).astype(np.intp)
+        self.members = np.repeat(np.arange(len(xs)), cells.shape[1])[
+            np.argsort(cells.ravel(), kind="stable")]
+        self.counts = np.bincount(cells.ravel(), minlength=self.empty + 1)
+        self.starts = np.cumsum(self.counts) - self.counts
+
+    def _axes(self, x, y, theta):
+        return (np.floor(x / self.edge) - self.x0, np.floor(y / self.edge) - self.y0,
+                np.floor(theta % 360.0 / self.width) % self.nt)
+
+    def cells(self, x, y, theta) -> np.ndarray:
+        """The flat cell index of each query point."""
+        cx, cy, ct = self._axes(x, y, theta)
+        inside = (cx >= 0.0) & (cx < self.nx) & (cy >= 0.0) & (cy < self.ny)
+        return np.where(inside, (cx * self.ny + cy) * self.nt + ct, self.empty).astype(np.intp)
+
+
+class GeometricTable:
+    """A minutia list and all its basis-relative views.
+
+    ``rows(bases)`` computes the list in each given basis frame: row i
+    holds every minutia transformed into the frame of basis i, so
+    ``rows([i])[0, i]`` is always the exact zero transform; the last axis
+    is x/y/theta.  ``grid(params)`` is the absolute minutiae bucketed for
+    the threshold kernel, built on first use and kept while the same
+    params are asked for.
+    """
+
+    def __init__(self, points):
+        """points: one (x, y, theta) row per minutia, theta in degrees."""
+        pts = np.asarray(points, dtype=float)
+        if len(pts) == 0:
             raise ValueError("at least one minutia required")
-        self._xs = np.array([m.x for m in self.sources], dtype=float)
-        self._ys = np.array([m.y for m in self.sources], dtype=float)
-        self.thetas = np.array([m.theta for m in self.sources], dtype=float)
+        self.xs, self.ys, self.thetas = np.array(pts.T)
         b = np.radians(self.thetas)
-        self._cos, self._sin = np.cos(b), np.sin(b)
-        self._rows = np.empty((k, k, 3))
-        self._built = np.zeros(k, dtype=bool)
+        self.cos, self.sin = np.cos(b), np.sin(b)
+        self._grid: _VaultGrid | None = None
 
     def __len__(self) -> int:
-        return len(self.sources)
+        return len(self.xs)
 
     def rows(self, bases: Sequence[int]) -> np.ndarray:
-        """The rows of the given bases, shape (len(bases), k, 3); a copy."""
+        """The rows of the given bases, shape (len(bases), k, 3)."""
         idx = np.asarray(bases, dtype=int)
-        todo = idx[~self._built[idx]]
-        if todo.size:
-            dx = self._xs[None, :] - self._xs[todo, None]
-            dy = self._ys[None, :] - self._ys[todo, None]
-            cb, sb = self._cos[todo, None], self._sin[todo, None]
-            self._rows[todo, :, 0] = cb * dx + sb * dy
-            self._rows[todo, :, 1] = -sb * dx + cb * dy
-            self._rows[todo, :, 2] = (self.thetas[None, :] - self.thetas[todo, None]) % 360.0
-            self._built[todo] = True
-        return self._rows[idx]
+        dx = self.xs[None, :] - self.xs[idx, None]
+        dy = self.ys[None, :] - self.ys[idx, None]
+        cb, sb = self.cos[idx, None], self.sin[idx, None]
+        return np.stack([cb * dx + sb * dy, -sb * dx + cb * dy,
+                         (self.thetas[None, :] - self.thetas[idx, None]) % 360.0], axis=-1)
+
+    def grid(self, params: MatchParams) -> _VaultGrid:
+        if self._grid is None or self._grid.params != params:
+            self._grid = _VaultGrid(self.xs, self.ys, self.thetas, params)
+        return self._grid
 
 
-def build_geometric_table(minutiae: Iterable[Minutia]) -> GeometricTable:
-    return GeometricTable(minutiae)
+def build_geometric_table(points) -> GeometricTable:
+    return GeometricTable(points)
 
 
 def match_margins_many(
@@ -116,65 +159,56 @@ def match_margins_many(
 ) -> np.ndarray:
     """Per-vault-point margins in several vault basis frames; shape (len(bases), kv).
 
-    A vault point j matches in the frame of a vault basis when some probe
-    minutia lies within all three thresholds in the paired frames.  For a
-    match, the entry is the margin min over probe minutiae of
-    max(|dx| - x_thres, |dy| - y_thres, circ(dtheta) - theta_thres),
-    which is <= 0; every other entry is +inf.
+    A vault point j matches in the frame of vault basis b when some probe
+    minutia p lies within all three thresholds of it in the paired
+    frames: V_b[j] (the vault's row b) against P[p] (the probe's row
+    probe_basis).  For a match, the entry is the margin min over probe
+    minutiae of max(|dx| - x_thres, |dy| - y_thres, circ(dtheta) -
+    theta_thres), which is <= 0; every other entry is +inf.
 
-    The probe basis frame is hashed once per call into a grid whose cell
-    edge on each axis is max(thres + _CELL_PAD, span / _GRID_CELLS),
-    span being the probe's extent on that axis.  Every probe minutia is
-    entered into its own cell and the eight around it, so each vault
-    point reads one cell to find the probe minutiae that may lie within
-    x_thres and y_thres of it; vault points outside the grid read an
-    extra, empty cell.  The full slack of those pairs is then computed
-    with the same float64 operations a dense evaluation would use.
+    No vault row is built.  Each (b, p) pair maps P[p] into the vault
+    image, q = v_b + R(theta_b) P[p] with orientation theta_b + P[p].theta,
+    and reads the one cell of the vault table's grid that holds q.  Only
+    the (b, p, j) triples that read turns up get V_b[j], computed with the
+    float64 expressions of GeometricTable.rows, and then the exact slack.
 
-    The result is exact.  If |v - p| <= thres holds in float64, then
-    floor(v / edge) and floor(p / edge) differ by at most one, because
-    the edge exceeds the threshold by a pixel and rounding is about
-    1e-12 of a pixel, so every matching pair is among those tested and
-    every matching margin is the same minimum.  _GRID_CELLS only bounds
-    the grid when a threshold is near zero; any edge of at least
-    thres + _CELL_PAD gives the same margins.
+    The result is exact.  V_b[j] - P[p] is R(-theta_b)(v_j - q) up to
+    float64 rounding, about 1e-12 of a pixel for 11-bit coordinates, and a
+    rotation keeps lengths; so a pair within x_thres and y_thres lies
+    within hypot(x_thres, y_thres) plus that rounding of q on each image
+    axis, and a pair within theta_thres lies within theta_thres plus
+    rounding of q's orientation on the circle.  Each is less than a cell
+    edge, which exceeds the radius by _CELL_PAD, so floor(v / edge) and
+    floor(q / edge) differ by at most one on every axis (circularly for
+    theta), and the cells each vault minutia is entered into, its own and
+    all those around it, include the one q reads.  Every matching triple is therefore tested and every
+    matching margin is the same minimum as a dense evaluation's.
     """
     P = probe_table.rows([probe_basis])[0]  # (kp, 3)
-    V = vault_table.rows(vault_bases)  # (m, kv, 3)
-    m, kv = V.shape[:2]
-    Vf = V.reshape(-1, 3)
-    # per axis, on a grid around the probe: probe cells, vault cells, cell count
-    cells = []
-    for axis, thres in ((0, params.x_thres), (1, params.y_thres)):
-        p = P[:, axis]
-        edge = max(thres + _CELL_PAD, (p.max() - p.min()) / _GRID_CELLS)
-        pc = np.floor(p / edge)
-        lo = pc.min() - 1.0  # one spare cell on each side
-        cells.append((pc - lo, np.floor(Vf[:, axis] / edge) - lo, pc.max() - lo + 2.0))
-    (px, vx, nx), (py, vy, ny) = cells
-    # CSR grid: each probe minutia in its own cell and the eight around it
-    near = np.array([-1.0, 0.0, 1.0])
-    probe_cells = (px[:, None] + near)[:, :, None] * ny + (py[:, None] + near)[:, None, :]
-    probe_cells = probe_cells.ravel().astype(np.intp)
-    members = np.repeat(np.arange(len(P)), 9)[np.argsort(probe_cells, kind="stable")]
-    counts = np.bincount(probe_cells, minlength=int(nx * ny) + 1)  # last cell: empty
-    starts = np.cumsum(counts) - counts
-    inside = (vx >= 0.0) & (vx < nx) & (vy >= 0.0) & (vy < ny)
-    cell = np.where(inside, vx * ny + vy, nx * ny).astype(np.intp)
-    # one (vault point, probe minutia) pair per cell member
-    per_point = counts[cell]
-    near_any = np.flatnonzero(per_point)
-    k = per_point[near_any]
-    f = np.repeat(near_any, k)
-    pos = np.arange(len(f)) + np.repeat(starts[cell[near_any]] - (np.cumsum(k) - k), k)
-    Vs, Ps = Vf[f], P[members[pos]]
-    dx = np.abs(Vs[:, 0] - Ps[:, 0]) - params.x_thres
-    dy = np.abs(Vs[:, 1] - Ps[:, 1]) - params.y_thres
-    dt = np.abs(Vs[:, 2] - Ps[:, 2]) % 360.0
-    dt = np.minimum(dt, 360.0 - dt) - params.theta_thres
-    s = np.maximum(np.maximum(dx, dy), dt)
-    hit = s <= 0.0
-    margins = np.full(m * kv, np.inf)
-    np.minimum.at(margins, f[hit], s[hit])
-    return margins.reshape(m, kv)
-
+    T = vault_table
+    b = np.asarray(vault_bases, dtype=np.intp)
+    grid = T.grid(params)
+    cb, sb = T.cos[b, None], T.sin[b, None]
+    # the probe frame in the vault image, once per gated vault basis: (m, kp)
+    qx = T.xs[b, None] + (cb * P[:, 0] - sb * P[:, 1])
+    qy = T.ys[b, None] + (sb * P[:, 0] + cb * P[:, 1])
+    qt = (T.thetas[b, None] + P[:, 2]) % 360.0
+    cell = grid.cells(qx.ravel(), qy.ravel(), qt.ravel())
+    # one (basis, probe minutia, vault point) triple per member of each cell read
+    k = grid.counts[cell]
+    query = np.repeat(np.arange(len(cell)), k)
+    pos = np.arange(len(query)) + np.repeat(grid.starts[cell] - (np.cumsum(k) - k), k)
+    j = grid.members[pos]
+    row, p = np.divmod(query, len(P))
+    vb = b[row]
+    dx, dy = T.xs[j] - T.xs[vb], T.ys[j] - T.ys[vb]
+    c, s = T.cos[vb], T.sin[vb]
+    ex = np.abs((c * dx + s * dy) - P[p, 0]) - params.x_thres
+    ey = np.abs((-s * dx + c * dy) - P[p, 1]) - params.y_thres
+    et = np.abs((T.thetas[j] - T.thetas[vb]) % 360.0 - P[p, 2]) % 360.0
+    et = np.minimum(et, 360.0 - et) - params.theta_thres
+    slack = np.maximum(np.maximum(ex, ey), et)
+    hit = slack <= 0.0
+    margins = np.full(len(b) * len(T), np.inf)
+    np.minimum.at(margins, (row * len(T) + j)[hit], slack[hit])
+    return margins.reshape(len(b), len(T))

@@ -24,7 +24,7 @@ import numpy as np
 
 from . import gf32
 from .aligner import MatchParams, build_geometric_table, match_margins_many
-from .minutiae import Template, decode_minutia, select_minutiae
+from .minutiae import Template, decode_minutiae, select_minutiae
 from .vault import Vault, VaultPoint, secret_from_polynomial
 
 ITERATIVE_SELECTION = "iterative-selection"
@@ -153,9 +153,8 @@ def decode_vault(
     size = degree + 1
 
     probe_sel = select_minutiae(probe, vault.params.genuine_count, vault.params.points_distance)
-    vault_minutiae = [decode_minutia(pt.X) for pt in vault.points]
-    vtable = build_geometric_table(vault_minutiae)
-    ptable = build_geometric_table(probe_sel)
+    vtable = build_geometric_table(decode_minutiae([pt.X for pt in vault.points]))
+    ptable = build_geometric_table([(m.x, m.y, m.theta) for m in probe_sel])
 
     d = np.abs(ptable.thetas[:, None] - vtable.thetas[None, :]) % 360.0
     basis_ok = np.minimum(d, 360.0 - d) <= match_params.theta_basis_thres

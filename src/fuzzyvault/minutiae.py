@@ -15,6 +15,8 @@ from pathlib import Path
 from random import Random
 from typing import Callable, Sequence
 
+import numpy as np
+
 COORD_MAX = 2047  # 11 bits for each coordinate
 THETA_STEPS = 1024  # 10 bits for orientation
 
@@ -219,3 +221,17 @@ def decode_minutia(rep: int) -> Minutia:
         y=(rep >> _Y_SHIFT) & COORD_MAX,
         theta=(rep & _THETA_MASK) * 360.0 / THETA_STEPS,
     )
+
+
+def decode_minutiae(words: Sequence[int]) -> np.ndarray:
+    """decode_minutia over many words at once: x, y, theta per row, shape (k, 3).
+
+    Every value equals the matching decode_minutia field exactly, since
+    theta is the same float64 multiply and divide.
+    """
+    w = np.asarray(words, dtype=np.int64)
+    return np.stack([
+        (w >> _X_SHIFT) & COORD_MAX,
+        (w >> _Y_SHIFT) & COORD_MAX,
+        (w & _THETA_MASK) * 360.0 / THETA_STEPS,
+    ], axis=1)

@@ -2,9 +2,9 @@
 
 The scalar rigid transform and the candidate collectors work one basis
 pair at a time; the dense kernel materializes every (basis, probe, vault)
-slack, so each entry is the true margin, positive or not; the eager table
-builds every basis row up front.  The shipped table and kernel must agree
-with them.
+slack from the basis rows, so each entry is the true margin, positive or
+not; the eager table builds every basis row up front.  The shipped table
+and kernel must agree with them.
 """
 
 import math
@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from fuzzyvault.aligner import match_margins_many
+from fuzzyvault.aligner import GeometricTable, build_geometric_table, match_margins_many
 
 
 @dataclass(frozen=True)
@@ -41,6 +41,15 @@ def circular_diff(a, b):
     """Smaller arc between two angles in degrees; always in [0, 180]."""
     d = abs(a - b) % 360.0
     return min(d, 360.0 - d)
+
+
+def xyt(minutiae):
+    """Minutia objects as the (x, y, theta) rows a geometric table takes."""
+    return [(m.x, m.y, m.theta) for m in minutiae]
+
+
+def table_of(minutiae):
+    return build_geometric_table(xyt(minutiae))
 
 
 def table_coords(table):
@@ -78,35 +87,27 @@ def dense_match_margins_many(vault_table, probe_table, probe_basis, vault_bases,
     return np.maximum(np.maximum(dx, dy), dt).min(axis=1)
 
 
-class EagerGeometricTable:
+class EagerGeometricTable(GeometricTable):
     """The geometric table as first written: every basis row built up front.
 
-    The shipped table builds rows on demand and must match this one bit
-    for bit on every row it returns.
+    The shipped table computes rows on demand and must match this one bit
+    for bit on every row it returns.  Everything else, the absolute
+    minutiae and the kernel's grid, is the shipped table's.
     """
 
-    def __init__(self, sources):
-        self.sources = tuple(sources)
-        k = len(self.sources)
-        if k == 0:
-            raise ValueError("at least one minutia required")
-        xs = np.array([m.x for m in self.sources], dtype=float)
-        ys = np.array([m.y for m in self.sources], dtype=float)
-        thetas = np.array([m.theta for m in self.sources], dtype=float)
+    def __init__(self, points):
+        super().__init__(points)
+        xs, ys, thetas = self.xs, self.ys, self.thetas
         dx = xs[None, :] - xs[:, None]
         dy = ys[None, :] - ys[:, None]
         b = np.radians(thetas)[:, None]
         cb, sb = np.cos(b), np.sin(b)
-        coords = np.empty((k, k, 3))
+        coords = np.empty((len(xs), len(xs), 3))
         coords[..., 0] = cb * dx + sb * dy
         coords[..., 1] = -sb * dx + cb * dy
         coords[..., 2] = (thetas[None, :] - thetas[:, None]) % 360.0
         coords.setflags(write=False)
         self.coords = coords
-        self.thetas = thetas
-
-    def __len__(self):
-        return len(self.sources)
 
     def rows(self, bases):
         return self.coords[np.asarray(bases, dtype=int)]

@@ -15,15 +15,11 @@ from aligner_oracle import (
     match_margins,
     rigid_transform,
     table_coords,
+    table_of,
     table_row,
+    xyt,
 )
-from fuzzyvault.aligner import (
-    _CELL_PAD,
-    _GRID_CELLS,
-    MatchParams,
-    build_geometric_table,
-    match_margins_many,
-)
+from fuzzyvault.aligner import _CELL_PAD, MatchParams, build_geometric_table, match_margins_many
 from fuzzyvault.minutiae import Minutia
 from fuzzyvault.vault import VaultPoint
 
@@ -70,14 +66,14 @@ def test_rigid_transform_matches_rotation_matrix_oracle():
 
 
 def test_table_shapes():
-    one_table = build_geometric_table([Minutia(5, 5, 10.0)])
+    one_table = table_of([Minutia(5, 5, 10.0)])
     assert len(one_table) == 1
     one = table_coords(one_table)
     assert one.shape == (1, 1, 3)
     assert tuple(one[0, 0]) == (0.0, 0.0, 0.0)
 
     ms = [Minutia(i * 20, i * 10, (i * 30) % 360.0) for i in range(7)]
-    coords = table_coords(build_geometric_table(ms))
+    coords = table_coords(table_of(ms))
     assert coords.shape == (7, 7, 3)
     for i in range(7):
         assert tuple(coords[i, i]) == (0.0, 0.0, 0.0)  # exact zero diagonal
@@ -86,7 +82,7 @@ def test_table_shapes():
 def test_table_rows_agree_with_rigid_transform():
     rng = random.Random(22)
     ms = [Minutia(rng.randrange(400), rng.randrange(560), rng.uniform(0, 360)) for _ in range(9)]
-    table = build_geometric_table(ms)
+    table = table_of(ms)
     for i in range(9):
         for j, entry in enumerate(table_row(table, i)):
             ref = rigid_transform(ms[i], ms[j], origin_index=i)
@@ -100,8 +96,8 @@ def test_table_invariant_under_global_rigid_motion():
     ms = [Minutia(rng.uniform(50, 350), rng.uniform(50, 500), rng.uniform(0, 360))
           for _ in range(12)]
     moved = [rotate_about(m, 200.0, 280.0, 37.5, dx=14.2, dy=-9.1) for m in ms]
-    a = table_coords(build_geometric_table(ms))
-    b = table_coords(build_geometric_table(moved))
+    a = table_coords(table_of(ms))
+    b = table_coords(table_of(moved))
     assert np.max(np.abs(a[..., 0] - b[..., 0])) < 1e-6
     assert np.max(np.abs(a[..., 1] - b[..., 1])) < 1e-6
     dt = np.abs(a[..., 2] - b[..., 2]) % 360.0
@@ -120,14 +116,19 @@ def test_match_params_validation():
         MatchParams(12, 12, 180, 15)  # theta threshold must stay under 180
     with pytest.raises(ValueError, match="y_thres"):
         MatchParams(12, math.nan, 12, 15)
+    with pytest.raises(ValueError, match="x_thres must be finite"):
+        MatchParams(math.inf, 12, 12, 15)
+    with pytest.raises(ValueError, match="y_thres must be finite"):
+        MatchParams(12, math.inf, 12, 15)
     MatchParams(12, 12, 12, 360)  # basis gate may be disabled entirely
+    MatchParams(4096, 1e6, 12, 15)  # large finite thresholds stay allowed
 
 
 def test_collect_candidates_self_match_is_complete():
     rng = random.Random(24)
     ms = [Minutia(rng.randrange(400), rng.randrange(560), rng.uniform(0, 360))
           for _ in range(15)]
-    table = build_geometric_table(ms)
+    table = table_of(ms)
     points = [VaultPoint(i, 0) for i in range(15)]
     params = MatchParams(12, 12, 12, 15)
     got = collect_candidates(table, points, table, 0, 0, params)
@@ -144,8 +145,8 @@ def test_collect_candidates_only_trivial_for_incompatible_geometry():
     probe_ms = [Minutia(100, 100, 0.0), Minutia(107, 101, 10.0),
                 Minutia(113, 99, 20.0), Minutia(119, 102, 30.0),
                 Minutia(126, 98, 40.0)]
-    vt = build_geometric_table(vault_ms)
-    pt = build_geometric_table(probe_ms)
+    vt = table_of(vault_ms)
+    pt = table_of(probe_ms)
     points = [VaultPoint(i, 0) for i in range(len(vault_ms))]
     got = collect_candidates(vt, points, pt, 0, 0, MatchParams(5, 5, 5, 360))
     assert got == {points[0]}
@@ -170,8 +171,8 @@ def test_candidates_match_brute_force_after_rigid_motion():
     vault_ms = [Minutia(rng.uniform(60, 340), rng.uniform(60, 500), rng.uniform(0, 360))
                 for _ in range(20)]
     probe_ms = [rotate_about(m, 200.0, 280.0, 10.0, dx=5.0, dy=3.0) for m in vault_ms]
-    vt = build_geometric_table(vault_ms)
-    ptab = build_geometric_table(probe_ms)
+    vt = table_of(vault_ms)
+    ptab = table_of(probe_ms)
     points = [VaultPoint(i, 0) for i in range(20)]
     params = MatchParams(12, 12, 12, 15)
     for basis in range(5):
@@ -188,8 +189,8 @@ def test_match_margins_many_agrees_with_single():
                 for _ in range(10)]
     probe_ms = [Minutia(rng.randrange(400), rng.randrange(560), rng.uniform(0, 360))
                 for _ in range(8)]
-    vt = build_geometric_table(vault_ms)
-    ptab = build_geometric_table(probe_ms)
+    vt = table_of(vault_ms)
+    ptab = table_of(probe_ms)
     params = MatchParams(12, 12, 12, 360)
     many = match_margins_many(vt, ptab, 2, [0, 3, 7], params)
     for row, vb in enumerate([0, 3, 7]):
@@ -218,8 +219,8 @@ _theta_thres = st.one_of(st.sampled_from([0.0, 12.0, 179.9]),
 )
 def test_match_margins_many_agrees_with_dense_oracle(vault_ms, probe, params, data):
     probe_ms = vault_ms[:30] if probe is None else probe  # None: identical minutiae
-    vt = build_geometric_table(vault_ms)
-    ptab = build_geometric_table(probe_ms)
+    vt = table_of(vault_ms)
+    ptab = table_of(probe_ms)
     probe_basis = data.draw(st.integers(0, len(probe_ms) - 1), label="probe_basis")
     bases = list(range(len(vault_ms)))
     got = match_margins_many(vt, ptab, probe_basis, bases, params)
@@ -230,84 +231,113 @@ def test_match_margins_many_agrees_with_dense_oracle(vault_ms, probe, params, da
     assert np.all(np.isposinf(got[~match]))
 
 
-class FixedRows:
-    """A table whose basis rows are given outright, so tests can place points."""
-
-    def __init__(self, coords):
-        self.coords = np.asarray(coords, dtype=float)
-
-    def rows(self, bases):
-        return self.coords[np.asarray(bases, dtype=int)]
+_box_thres = st.one_of(st.sampled_from([0.0, 0.5, 1.0, 12.0, 15.0, 2048.0, 4096.0, 1e6]),
+                       st.floats(0.0, 3000.0))
+# past 119 fewer than three theta cells fit, so the grid has one
+_wide_theta_thres = st.one_of(st.sampled_from([0.0, 12.0, 118.0, 119.0, 119.5, 150.0, 179.9]),
+                              st.floats(0.0, 180.0, exclude_max=True))
 
 
-_grid_thres = st.one_of(st.sampled_from([0.0, 0.5, 1.0, 12.0, 15.0, 4096.0, 1e6]),
-                        st.floats(0.0, 3000.0))
+def _image_point(base, probe_point):
+    """A probe-frame point mapped into the vault image through a vault basis."""
+    bx, by, bt = base
+    px, py, pt = probe_point
+    c, s = math.cos(math.radians(bt)), math.sin(math.radians(bt))
+    return bx + c * px - s * py, by + s * px + c * py, (bt + pt) % 360.0
 
 
-def _probe_coords(data, probe_edge, kp):
-    """Probe values for one axis: integers, floats, or multiples of probe_edge."""
-    value = st.one_of(st.integers(-2048, 2048).map(float), st.floats(-3000.0, 3000.0),
-                      st.integers(-32, 32).map(lambda k: k * probe_edge))
-    return np.array(data.draw(st.lists(value, min_size=kp, max_size=kp)))
+def _near(data, q, theta_b, params, width):
+    """A vault minutia around the image point q where the grid could go
+    wrong: at the threshold box's corners in the basis frame (the hypot
+    radius) or just inside them, one padded radius away on an image axis;
+    in theta at or past the threshold, on a cell boundary, across the wrap."""
+    qx, qy, qt = q
+    xt, yt, tt = params.x_thres, params.y_thres, params.theta_thres
+    sx, sy = data.draw(st.sampled_from([-1.0, 1.0])), data.draw(st.sampled_from([-1.0, 1.0]))
+    kind = data.draw(st.sampled_from(["corner", "radius", "same", "any"]))
+    if kind == "corner":
+        c, s = math.cos(math.radians(theta_b)), math.sin(math.radians(theta_b))
+        f = data.draw(st.sampled_from([1.0, 1.0 - 1e-9]))
+        x, y = qx + f * (c * sx * xt - s * sy * yt), qy + f * (s * sx * xt + c * sy * yt)
+    elif kind == "radius":
+        r = math.hypot(xt, yt) + _CELL_PAD
+        x, y = data.draw(st.sampled_from([(qx + sx * r, qy), (qx, qy + sy * r)]))
+    elif kind == "same":
+        x, y = qx, qy
+    else:
+        x, y = data.draw(st.floats(0.0, 2047.0)), data.draw(st.floats(0.0, 2047.0))
+    turn = data.draw(st.sampled_from(["same", "thres", "pad", "cell", "wrap", "any"]))
+    if turn == "thres":
+        t = qt + sx * tt
+    elif turn == "pad":
+        t = qt + sx * (tt + _CELL_PAD)
+    elif turn == "cell":
+        t = (math.floor(qt / width) + data.draw(st.integers(0, 1))) * width
+    elif turn == "wrap":
+        t = data.draw(st.sampled_from([0.0, 360.0 - 1e-9]))
+    elif turn == "any":
+        t = data.draw(_angles)
+    else:
+        t = qt
+    return x, y, t % 360.0
 
 
-def _vault_coord(data, p, thres, edge):
-    """A vault value for one axis, placed where a grid could go wrong."""
-    kind = data.draw(st.sampled_from(["thres", "pad", "edge", "multiple", "same", "any"]))
-    sign = data.draw(st.sampled_from([-1.0, 1.0]))
-    if kind == "thres":  # exactly at the threshold
-        return p + sign * thres
-    if kind == "pad":
-        return p + sign * (thres + _CELL_PAD)
-    if kind == "edge":
-        return p + sign * edge
-    if kind == "multiple":  # on a cell boundary, inside or outside the grid
-        return data.draw(st.integers(-80, 80)) * edge
-    if kind == "same":
-        return p
-    return data.draw(st.floats(-6000.0, 6000.0))
+def _on_cell_edges(data, q, edge):
+    """x and y on the cell boundaries below or above q, or q one cell edge away."""
+    qx, qy, _ = q
+    if data.draw(st.booleans()):
+        s = data.draw(st.sampled_from([-1.0, 1.0]))
+        return data.draw(st.sampled_from([(qx + s * edge, qy), (qx, qy + s * edge)]))
+    return ((math.floor(qx / edge) + data.draw(st.integers(0, 1))) * edge,
+            (math.floor(qy / edge) + data.draw(st.integers(0, 1))) * edge)
 
 
 @settings(max_examples=300, deadline=None)
 @given(
-    x_thres=_grid_thres,
-    y_thres=_grid_thres,
-    theta_thres=_theta_thres,
-    shape=st.sampled_from(["one", "flat-x", "flat-y", "spread"]),
-    kp=st.integers(2, 30),
-    m=st.integers(1, 2),
-    kv=st.integers(1, 20),
+    params=st.builds(MatchParams, _box_thres, _box_thres, _wide_theta_thres, st.just(360.0)),
+    span=st.one_of(st.integers(0, 2047), st.integers(0, 300)),  # small: the radius sets the edge
     data=st.data(),
 )
-def test_grid_kernel_boundaries_agree_with_dense_oracle(
-    x_thres, y_thres, theta_thres, shape, kp, m, kv, data
-):
-    """Points exactly at the threshold, on cell boundaries, off the grid,
-    at negative coordinates, and probes with zero span on an axis."""
-    params = MatchParams(x_thres, y_thres, theta_thres, 360.0)
-    if shape == "one":
-        kp = 1
-    px = _probe_coords(data, x_thres + _CELL_PAD, kp)
-    py = _probe_coords(data, y_thres + _CELL_PAD, kp)
-    if shape == "flat-x":  # collinear: zero span in x
-        px[:] = px[0]
-    elif shape == "flat-y":
-        py[:] = py[0]
-    pt = np.array(data.draw(st.lists(_angles, min_size=kp, max_size=kp)))
-    # the cell edges the kernel derives from this probe
-    edges = [max(t + _CELL_PAD, (c.max() - c.min()) / _GRID_CELLS)
-             for t, c in ((x_thres, px), (y_thres, py))]
-    vault = np.empty((m * kv, 3))
-    for j in range(m * kv):
-        near = data.draw(st.integers(0, kp - 1))
-        vault[j, 0] = _vault_coord(data, px[near], x_thres, edges[0])
-        vault[j, 1] = _vault_coord(data, py[near], y_thres, edges[1])
-        vault[j, 2] = data.draw(st.one_of(st.just(pt[near]), _angles))
-    vt = FixedRows(vault.reshape(m, kv, 3))
-    ptab = FixedRows(np.stack([px, py, pt], axis=1)[None])
-    bases = list(range(m))
-    got = match_margins_many(vt, ptab, 0, bases, params)
-    expect = dense_match_margins_many(vt, ptab, 0, bases, params)
+def test_vault_grid_boundaries_agree_with_dense_oracle(params, span, data):
+    """Vault minutiae placed around the probe's points mapped into the vault
+    image, on 11-bit coordinates well outside a 400x560 image, and as
+    duplicates."""
+    lo = data.draw(st.integers(0, 2047 - span), label="lo")
+    coord = st.integers(lo, lo + span)
+    bases = data.draw(st.lists(st.tuples(coord, coord, _angles), min_size=1, max_size=4),
+                      label="bases")
+    probe = data.draw(st.lists(st.tuples(coord, coord, _angles), min_size=1, max_size=20),
+                      label="probe")
+    ptab = build_geometric_table(probe)
+    probe_basis = data.draw(st.integers(0, len(probe) - 1), label="probe_basis")
+    P = ptab.rows([probe_basis])[0]
+    width = build_geometric_table(bases).grid(params).width
+
+    def image_point():
+        base = data.draw(st.sampled_from(bases))
+        return base, _image_point(base, P[data.draw(st.integers(0, len(P) - 1))])
+
+    vault = list(bases)
+    for _ in range(data.draw(st.integers(1, 30), label="placed")):
+        if data.draw(st.booleans()):
+            vault.append(data.draw(st.sampled_from(vault)))  # a duplicate minutia
+            continue
+        base, q = image_point()
+        x, y, t = _near(data, q, base[2], params, width)
+        vault.append((min(max(x, 0.0), 2047.0), min(max(y, 0.0), 2047.0), t))
+    # x/y cell boundaries depend on the span: place points on them inside it
+    grid = build_geometric_table(vault).grid(params)
+    (x_lo, y_lo, _), (x_hi, y_hi, _) = np.min(vault, axis=0), np.max(vault, axis=0)
+    for _ in range(data.draw(st.integers(0, 10), label="on edges")):
+        base, q = image_point()
+        x, y = _on_cell_edges(data, q, grid.edge)
+        _, _, t = _near(data, q, base[2], params, width)
+        vault.append((min(max(x, x_lo), x_hi), min(max(y, y_lo), y_hi), t))
+    vt = build_geometric_table(vault)
+    assert vt.grid(params).edge == grid.edge  # so the boundaries above are the grid's
+    vault_bases = list(range(len(vault)))
+    got = match_margins_many(vt, ptab, probe_basis, vault_bases, params)
+    expect = dense_match_margins_many(vt, ptab, probe_basis, vault_bases, params)
     match = expect <= 0.0
     assert np.array_equal(got <= 0.0, match)
     assert np.array_equal(got[match], expect[match])
@@ -318,17 +348,14 @@ def test_grid_kernel_boundaries_agree_with_dense_oracle(
 @given(ms=st.lists(_minutiae, min_size=1, max_size=60), data=st.data())
 def test_rows_built_on_demand_agree_with_eager_oracle(ms, data):
     k = len(ms)
-    table = build_geometric_table(ms)
-    expect = EagerGeometricTable(ms).coords
+    table = table_of(ms)
+    expect = EagerGeometricTable(xyt(ms)).coords
     calls = data.draw(st.lists(st.lists(st.integers(0, k - 1), min_size=1, max_size=2 * k),
                                min_size=1, max_size=6), label="calls")
-    requested = set()
     for bases in calls:  # any order, repeats within and across calls
         got = table.rows(bases)
         assert got.shape == (len(bases), k, 3)
         assert np.array_equal(got, expect[bases])
         for row, b in enumerate(bases):
             assert np.all(got[row, b] == 0.0)  # exact zero transform on the diagonal
-        requested.update(bases)
-        assert int(table._built.sum()) == len(requested)  # nothing built unasked
     assert np.array_equal(table_coords(table), expect)

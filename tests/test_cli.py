@@ -121,6 +121,20 @@ def test_verify_malformed_vault_file_exits_two(runner, tmp_path):
     assert "Traceback" not in result.output
 
 
+@pytest.mark.parametrize("flag", ["--x-thres", "--y-thres"])
+def test_verify_infinite_threshold_exits_two(runner, tmp_path, flag):
+    template_path = tmp_path / "f.xyt"
+    write_template(template_path, synth_template(905, 60))
+    vault_path = tmp_path / "vault.json"
+    runner.invoke(main, ["encode", "--template", str(template_path),
+                         "--out", str(vault_path), "--seed", "6"])
+    result = runner.invoke(main, ["verify", "--vault", str(vault_path),
+                                  "--probe", str(template_path), flag, "inf"])
+    assert result.exit_code == 2
+    assert result.stderr.startswith("error: ") and "must be finite" in result.stderr
+    assert "Traceback" not in result.output
+
+
 def template_file(tmp_path):
     template_path = tmp_path / "f.xyt"
     write_template(template_path, synth_template(909, 60))

@@ -15,6 +15,7 @@ from fuzzyvault.minutiae import (
     Template,
     THETA_STEPS,
     decode_minutia,
+    decode_minutiae,
     encode_minutia,
     parse_template,
     read_template,
@@ -166,6 +167,17 @@ def test_encode_decode_round_trip_on_the_grid(x, y, theta_q):
     assert 0 <= rep < 1 << 32
     assert decode_minutia(rep) == m
     assert encode_minutia(decode_minutia(rep)) == rep
+
+
+@settings(max_examples=100, deadline=None)
+@given(words=st.lists(st.integers(0, 2**32 - 1), max_size=50))
+def test_decode_minutiae_equals_decode_minutia(words):
+    words = [0, 2**32 - 1] + words
+    got = decode_minutiae(words)
+    assert got.shape == (len(words), 3) and got.dtype == float
+    for row, w in zip(got.tolist(), words):
+        m = decode_minutia(w)
+        assert row == [m.x, m.y, m.theta]  # exact, theta included
 
 
 def test_encode_rejects_out_of_range():
