@@ -15,14 +15,14 @@ row, the whole minutia list in one basis frame, is computed when asked
 for and not kept.
 
 The threshold kernel builds no vault rows.  The vault table buckets its
-absolute minutiae once, in an (x, y, theta) grid; each kernel call maps
-the probe's basis frame into the vault image through every gated vault
-basis, so each (vault basis, probe minutia) pair reads the one cell
-around its image point.  Cells only choose which pairs to test: every
-tested pair gets its vault coordinates and slack with the float64
-operations of a dense evaluation, so a vault point that matches gets its
-exact margin and every other point gets +inf, because callers only read
-which points match and in what order.
+absolute minutiae once, in an (x, y, theta) grid; a kernel call takes a
+list of (probe basis, vault basis) pairs and maps each pair's probe frame
+into the vault image, so each (pair, probe minutia) reads the one cell
+around its image point.  Cells only choose which triples to test: each
+gets its vault coordinates and slack with the float64 operations of a
+dense evaluation, and only the matches come back, sparse, with their
+exact margins, because callers only read which points match and in
+what order.
 """
 
 from __future__ import annotations
@@ -98,7 +98,7 @@ class _VaultGrid:
 
     def _axes(self, x, y, theta):
         return (np.floor(x / self.edge) - self.x0, np.floor(y / self.edge) - self.y0,
-                np.floor(theta % 360.0 / self.width) % self.nt)
+                np.floor(theta / self.width).astype(np.intp) % self.nt)
 
     def cells(self, x, y, theta) -> np.ndarray:
         """The flat cell index of each query point."""
@@ -153,24 +153,26 @@ def build_geometric_table(points) -> GeometricTable:
 def match_margins_many(
     vault_table: GeometricTable,
     probe_table: GeometricTable,
-    probe_basis: int,
+    probe_bases: int | Sequence[int],
     vault_bases: Sequence[int],
     params: MatchParams,
-) -> np.ndarray:
-    """Per-vault-point margins in several vault basis frames; shape (len(bases), kv).
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Every match of each (probe basis, vault basis) pair, as (pair, point, margin).
 
-    A vault point j matches in the frame of vault basis b when some probe
-    minutia p lies within all three thresholds of it in the paired
-    frames: V_b[j] (the vault's row b) against P[p] (the probe's row
-    probe_basis).  For a match, the entry is the margin min over probe
-    minutiae of max(|dx| - x_thres, |dy| - y_thres, circ(dtheta) -
-    theta_thres), which is <= 0; every other entry is +inf.
+    Pair i is (probe_bases[i], vault_bases[i]); one probe basis index is
+    broadcast to every pair.  Vault point j matches in pair i when some
+    probe minutia p lies within all three thresholds of it in the paired
+    frames, V_b[j] (the vault's row b) against P[p] (the probe's row); its
+    margin, the minimum over those p of max(|dx| - x_thres, |dy| - y_thres,
+    circ(dtheta) - theta_thres), is <= 0.  There is one entry per matching
+    (pair, point), sorted by pair, then margin, then point, so each pair's
+    run is its candidate set, strongest first with ties in vault order.
 
-    No vault row is built.  Each (b, p) pair maps P[p] into the vault
+    No vault row is built.  Each (pair, p) maps P[p] into the vault
     image, q = v_b + R(theta_b) P[p] with orientation theta_b + P[p].theta,
     and reads the one cell of the vault table's grid that holds q.  Only
-    the (b, p, j) triples that read turns up get V_b[j], computed with the
-    float64 expressions of GeometricTable.rows, and then the exact slack.
+    the (pair, p, j) triples that read turns up get V_b[j], computed with
+    the float64 expressions of GeometricTable.rows, and then the exact slack.
 
     The result is exact.  V_b[j] - P[p] is R(-theta_b)(v_j - q) up to
     float64 rounding, about 1e-12 of a pixel for 11-bit coordinates, and a
@@ -181,34 +183,43 @@ def match_margins_many(
     edge, which exceeds the radius by _CELL_PAD, so floor(v / edge) and
     floor(q / edge) differ by at most one on every axis (circularly for
     theta), and the cells each vault minutia is entered into, its own and
-    all those around it, include the one q reads.  Every matching triple is therefore tested and every
-    matching margin is the same minimum as a dense evaluation's.
+    all those around it, include the one q reads.  Every matching triple is
+    therefore tested, and each (pair, point) keeps a dense evaluation's
+    minimum; every value is elementwise, the same in any batch of pairs.
     """
-    P = probe_table.rows([probe_basis])[0]  # (kp, 3)
     T = vault_table
     b = np.asarray(vault_bases, dtype=np.intp)
+    distinct, slot = np.unique(np.broadcast_to(probe_bases, b.shape), return_inverse=True)
+    P = probe_table.rows(distinct)  # (distinct probe bases, kp, 3); pair i has row slot[i]
     grid = T.grid(params)
     cb, sb = T.cos[b, None], T.sin[b, None]
-    # the probe frame in the vault image, once per gated vault basis: (m, kp)
-    qx = T.xs[b, None] + (cb * P[:, 0] - sb * P[:, 1])
-    qy = T.ys[b, None] + (sb * P[:, 0] + cb * P[:, 1])
-    qt = (T.thetas[b, None] + P[:, 2]) % 360.0
+    px, py = P[slot, :, 0], P[slot, :, 1]
+    # each pair's probe frame in the vault image: (pairs, kp)
+    qx = T.xs[b, None] + (cb * px - sb * py)
+    qy = T.ys[b, None] + (sb * px + cb * py)
+    qt = T.thetas[b, None] + P[slot, :, 2]  # the grid wraps the theta cell index
     cell = grid.cells(qx.ravel(), qy.ravel(), qt.ravel())
-    # one (basis, probe minutia, vault point) triple per member of each cell read
+    # one (pair, probe minutia, vault point) triple per member of each cell read
     k = grid.counts[cell]
     query = np.repeat(np.arange(len(cell)), k)
     pos = np.arange(len(query)) + np.repeat(grid.starts[cell] - (np.cumsum(k) - k), k)
     j = grid.members[pos]
-    row, p = np.divmod(query, len(P))
-    vb = b[row]
+    row, p = np.divmod(query, len(probe_table))
+    vb, pp = b[row], P[slot[row], p]
     dx, dy = T.xs[j] - T.xs[vb], T.ys[j] - T.ys[vb]
     c, s = T.cos[vb], T.sin[vb]
-    ex = np.abs((c * dx + s * dy) - P[p, 0]) - params.x_thres
-    ey = np.abs((-s * dx + c * dy) - P[p, 1]) - params.y_thres
-    et = np.abs((T.thetas[j] - T.thetas[vb]) % 360.0 - P[p, 2]) % 360.0
+    ex = np.abs((c * dx + s * dy) - pp[:, 0]) - params.x_thres
+    ey = np.abs((-s * dx + c * dy) - pp[:, 1]) - params.y_thres
+    # both angles are in [0, 360], so min(d, 360 - d) is the circular distance
+    et = np.abs((T.thetas[j] - T.thetas[vb]) % 360.0 - pp[:, 2])
     et = np.minimum(et, 360.0 - et) - params.theta_thres
     slack = np.maximum(np.maximum(ex, ey), et)
     hit = slack <= 0.0
-    margins = np.full(len(b) * len(T), np.inf)
-    np.minimum.at(margins, (row * len(T) + j)[hit], slack[hit])
-    return margins.reshape(len(b), len(T))
+    row, j, slack = row[hit], j[hit], slack[hit]
+    key = row * len(T) + j  # stable sorts follow, minor key first
+    first = np.argsort(slack, kind="stable")
+    first = first[np.argsort(key[first], kind="stable")]  # by (pair, point, margin)
+    keep = first[np.diff(key[first], prepend=-1) != 0]  # each (pair, point)'s minimum
+    keep = keep[np.argsort(slack[keep], kind="stable")]
+    keep = keep[np.argsort(row[keep], kind="stable")]  # by (pair, margin, point)
+    return row[keep], j[keep], slack[keep]

@@ -9,6 +9,10 @@ strategy, each subset is interpolated over GF(2^32), and the first
 coefficient string whose trailing CRC-32 verifies is the secret.  Chaff
 points miss the polynomial by construction, so a verifying CRC certifies
 an all-genuine subset (up to a 2^-32 collision).
+
+Each kernel call takes a run of probe bases, 1, 2, 4, ... long and cut at
+the basis that brings it to _PAIRS_PER_CALL pairs: a first-basis unlock
+costs one small call, and a reject sweeps every pair in a few.
 """
 
 from __future__ import annotations
@@ -36,6 +40,8 @@ VARIANTS = (ITERATIVE_SELECTION, RANDOM_GENERATION, RANDOM_SELECTION)
 DEFAULT_ITERATION_CAP = 2**20
 # random-generation refuses to materialize more subsets than this.
 SUBSET_BUDGET = 1_000_000
+# A kernel call stops at the first probe basis that brings it to this many basis pairs.
+_PAIRS_PER_CALL = 256
 
 
 class ArityError(ValueError):
@@ -159,6 +165,7 @@ def decode_vault(
     d = np.abs(ptable.thetas[:, None] - vtable.thetas[None, :]) % 360.0
     basis_ok = np.minimum(d, 360.0 - d) <= match_params.theta_basis_thres
 
+    through = np.cumsum(np.count_nonzero(basis_ok, axis=1))  # gated pairs through each basis
     bases_tried = 0
     sets_evaluated = 0
     interpolations = 0
@@ -173,24 +180,26 @@ def decode_vault(
             elapsed_seconds=time.perf_counter() - start,
         )
 
-    for i in range(len(probe_sel)):
-        compatible = np.nonzero(basis_ok[i])[0]
-        if compatible.size == 0:
+    first, run = 0, 1
+    while first < len(probe_sel):
+        # up to run probe bases, cut at the one that brings the call to _PAIRS_PER_CALL pairs
+        last = min(first + run, int(np.searchsorted(through, bases_tried + _PAIRS_PER_CALL)) + 1)
+        probe_bases, vault_bases = np.nonzero(basis_ok[first:last])
+        probe_bases, first, run = probe_bases + first, last, 2 * run
+        if vault_bases.size == 0:
             continue
-        margins = match_margins_many(vtable, ptable, i, compatible, match_params)
-        hits = margins <= 0.0
-        # only rows with at least degree+1 candidates can unlock
-        for row in np.flatnonzero(np.count_nonzero(hits, axis=1) >= size):
+        pair, point, _ = match_margins_many(vtable, ptable, probe_bases, vault_bases, match_params)
+        bounds = np.searchsorted(pair, np.arange(vault_bases.size + 1))  # each pair's matches
+        # only pairs with at least degree+1 candidates can unlock
+        for k in np.flatnonzero(np.diff(bounds) >= size):
             sets_evaluated += 1
-            cand = np.flatnonzero(hits[row])
             # Strongest matches first; ties keep vault order.
-            order = cand[np.argsort(margins[row][cand], kind="stable")]
-            pool = [vault.points[int(j)] for j in order]
+            pool = [vault.points[int(j)] for j in point[bounds[k]:bounds[k + 1]]]
             for subset in generate_subsets(pool, size, strategy, rng):
                 interpolations += 1
                 secret = try_unlock(subset, degree)
                 if secret is not None:
-                    bases_tried += int(row) + 1
+                    bases_tried += int(k) + 1
                     return result(True, secret)
-        bases_tried += len(compatible)
+        bases_tried += vault_bases.size
     return result(False, None)

@@ -3,8 +3,9 @@
 The scalar rigid transform and the candidate collectors work one basis
 pair at a time; the dense kernel materializes every (basis, probe, vault)
 slack from the basis rows, so each entry is the true margin, positive or
-not; the eager table builds every basis row up front.  The shipped table
-and kernel must agree with them.
+not, and ``dense_match_margins_many`` reads the shipped kernel's sparse
+matches off it; the eager table builds every basis row up front.  The
+shipped table and kernel must agree with them.
 """
 
 import math
@@ -65,9 +66,18 @@ def table_row(table, i):
     ]
 
 
+def densify(matches, pairs, kv):
+    """The kernel's (pair, point, margin) matches as a (pairs, kv) array, +inf elsewhere."""
+    margins = np.full((pairs, kv), np.inf)
+    pair, point, margin = matches
+    margins[pair, point] = margin
+    return margins
+
+
 def match_margins(vault_table, probe_table, probe_basis, vault_basis, params):
-    """The shipped kernel for one vault basis; shape (kv,)."""
-    return match_margins_many(vault_table, probe_table, probe_basis, [vault_basis], params)[0]
+    """The shipped kernel for one vault basis; shape (kv,), +inf where nothing matches."""
+    matches = match_margins_many(vault_table, probe_table, probe_basis, [vault_basis], params)
+    return densify(matches, 1, len(vault_table))[0]
 
 
 def collect_candidates(vault_table, vault_points, probe_table, probe_basis, vault_basis, params):
@@ -76,15 +86,37 @@ def collect_candidates(vault_table, vault_points, probe_table, probe_basis, vaul
     return {vault_points[j] for j in np.nonzero(margins <= 0.0)[0]}
 
 
-def dense_match_margins_many(vault_table, probe_table, probe_basis, vault_bases, params):
-    """Margins of shape (len(vault_bases), kv); entry <= 0 means a match."""
+def dense_margins(vault_table, probe_table, probe_basis, vault_bases, params):
+    """True margins of shape (len(vault_bases), kv); entry <= 0 means a match.
+
+    Every (vault basis row, probe minutia) slack is materialized, one
+    vault basis at a time so a whole probe basis fits in a few MB.
+    """
     P = probe_table.rows([probe_basis])[0]  # (kp, 3)
-    V = vault_table.rows(vault_bases)  # (m, kv, 3)
-    dx = np.abs(V[:, None, :, 0] - P[None, :, None, 0]) - params.x_thres
-    dy = np.abs(V[:, None, :, 1] - P[None, :, None, 1]) - params.y_thres
-    dt = np.abs(V[:, None, :, 2] - P[None, :, None, 2]) % 360.0
-    dt = np.minimum(dt, 360.0 - dt) - params.theta_thres
-    return np.maximum(np.maximum(dx, dy), dt).min(axis=1)
+    out = np.empty((len(vault_bases), len(vault_table)))
+    for i, V in enumerate(vault_table.rows(vault_bases)):  # (kv, 3)
+        dx = np.abs(V[None, :, 0] - P[:, None, 0]) - params.x_thres
+        dy = np.abs(V[None, :, 1] - P[:, None, 1]) - params.y_thres
+        dt = np.abs(V[None, :, 2] - P[:, None, 2]) % 360.0
+        dt = np.minimum(dt, 360.0 - dt) - params.theta_thres
+        out[i] = np.maximum(np.maximum(dx, dy), dt).min(axis=0)
+    return out
+
+
+def dense_match_margins_many(vault_table, probe_table, probe_bases, vault_bases, params):
+    """The shipped kernel's contract from dense margins, pair by pair.
+
+    probe_bases is one probe basis per pair or one for all; the result
+    is (pair, point, margin) of every match, sorted by pair, margin, point.
+    """
+    probe_bases = np.broadcast_to(probe_bases, np.shape(vault_bases))
+    margins = np.empty((len(vault_bases), len(vault_table)))
+    for i, (pb, vb) in enumerate(zip(probe_bases, vault_bases)):
+        margins[i] = dense_margins(vault_table, probe_table, pb, [vb], params)[0]
+    pair, point = np.nonzero(margins <= 0.0)
+    margin = margins[pair, point]
+    order = np.lexsort((point, margin, pair))
+    return pair[order], point[order], margin[order]
 
 
 class EagerGeometricTable(GeometricTable):

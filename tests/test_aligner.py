@@ -12,6 +12,7 @@ from aligner_oracle import (
     circular_diff,
     collect_candidates,
     dense_match_margins_many,
+    densify,
     match_margins,
     rigid_transform,
     table_coords,
@@ -192,7 +193,7 @@ def test_match_margins_many_agrees_with_single():
     vt = table_of(vault_ms)
     ptab = table_of(probe_ms)
     params = MatchParams(12, 12, 12, 360)
-    many = match_margins_many(vt, ptab, 2, [0, 3, 7], params)
+    many = densify(match_margins_many(vt, ptab, 2, [0, 3, 7], params), 3, len(vt))
     for row, vb in enumerate([0, 3, 7]):
         single = match_margins(vt, ptab, 2, vb, params)
         assert np.array_equal(many[row], single)
@@ -218,17 +219,28 @@ _theta_thres = st.one_of(st.sampled_from([0.0, 12.0, 179.9]),
     data=st.data(),
 )
 def test_match_margins_many_agrees_with_dense_oracle(vault_ms, probe, params, data):
+    """Random pair lists over several probe bases, repeats and the empty list:
+    the same matches, == margins, one per (pair, point), in (pair, margin,
+    point) order."""
     probe_ms = vault_ms[:30] if probe is None else probe  # None: identical minutiae
     vt = table_of(vault_ms)
     ptab = table_of(probe_ms)
-    probe_basis = data.draw(st.integers(0, len(probe_ms) - 1), label="probe_basis")
-    bases = list(range(len(vault_ms)))
-    got = match_margins_many(vt, ptab, probe_basis, bases, params)
-    expect = dense_match_margins_many(vt, ptab, probe_basis, bases, params)
-    match = expect <= 0.0
-    assert np.array_equal(got <= 0.0, match)
-    assert np.array_equal(got[match], expect[match])
-    assert np.all(np.isposinf(got[~match]))
+    pairs = data.draw(st.lists(st.tuples(st.integers(0, len(probe_ms) - 1),
+                                         st.integers(0, len(vault_ms) - 1)), max_size=40),
+                      label="pairs")
+    if pairs and data.draw(st.booleans(), label="repeat a pair"):
+        pairs.insert(data.draw(st.integers(0, len(pairs))), data.draw(st.sampled_from(pairs)))
+    probe_bases = [pb for pb, _ in pairs]
+    vault_bases = [vb for _, vb in pairs]
+    pair, point, margin = match_margins_many(vt, ptab, probe_bases, vault_bases, params)
+    want = dense_match_margins_many(vt, ptab, probe_bases, vault_bases, params)
+    assert np.array_equal(pair, want[0])
+    assert np.array_equal(point, want[1])
+    assert np.array_equal(margin, want[2])  # ==, so -0.0 and 0.0 agree
+    assert np.all(margin <= 0.0)
+    order = np.lexsort((point, margin, pair))
+    assert np.array_equal(order, np.arange(len(pair)))
+    assert len(set(zip(pair.tolist(), point.tolist()))) == len(pair)
 
 
 _box_thres = st.one_of(st.sampled_from([0.0, 0.5, 1.0, 12.0, 15.0, 2048.0, 4096.0, 1e6]),
@@ -337,11 +349,9 @@ def test_vault_grid_boundaries_agree_with_dense_oracle(params, span, data):
     assert vt.grid(params).edge == grid.edge  # so the boundaries above are the grid's
     vault_bases = list(range(len(vault)))
     got = match_margins_many(vt, ptab, probe_basis, vault_bases, params)
-    expect = dense_match_margins_many(vt, ptab, probe_basis, vault_bases, params)
-    match = expect <= 0.0
-    assert np.array_equal(got <= 0.0, match)
-    assert np.array_equal(got[match], expect[match])
-    assert np.all(np.isposinf(got[~match]))
+    want = dense_match_margins_many(vt, ptab, probe_basis, vault_bases, params)
+    for g, w in zip(got, want):
+        assert np.array_equal(g, w)
 
 
 @settings(max_examples=200, deadline=None)

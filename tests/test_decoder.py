@@ -5,9 +5,11 @@ import itertools
 import math
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import decoder_oracle
 from aligner_oracle import EagerGeometricTable, dense_match_margins_many
 from fuzzyvault import decoder
 from fuzzyvault.aligner import MatchParams
@@ -25,6 +27,7 @@ from fuzzyvault.decoder import (
     try_unlock,
 )
 from fuzzyvault.evaluation import BUILTIN_CONFIGS, perturb_template, synth_template
+from fuzzyvault.minutiae import Template
 from fuzzyvault.vault import VaultPoint, encode_vault, genuine_indices
 
 CONFIG1 = BUILTIN_CONFIGS["fvc-1"]
@@ -253,15 +256,128 @@ def test_decode_same_result_with_dense_kernel_oracle(name, monkeypatch):
         return dataclasses.replace(res, elapsed_seconds=0.0)
 
     fast = [run(genuine), run(impostor)]
+    calls = {"build_geometric_table": 0, "match_margins_many": 0}
+
+    def counted(attr, oracle):
+        def wrapper(*args):
+            calls[attr] += 1
+            return oracle(*args)
+        return wrapper
+
     table = ("build_geometric_table", EagerGeometricTable)
     kernel = ("match_margins_many", dense_match_margins_many)
     for swaps in ([kernel], [table], [table, kernel]):
         with monkeypatch.context() as m:
             for attr, oracle in swaps:
-                m.setattr(decoder, attr, oracle)
+                calls[attr] = 0
+                m.setattr(decoder, attr, counted(attr, oracle))
             assert [run(genuine), run(impostor)] == fast
+            for attr, _ in swaps:  # the decoder went through the swapped name
+                assert calls[attr] > 0, attr
     assert fast[0].matched and fast[0].secret == secret
     assert not fast[1].matched and fast[1].bases_tried > 0
     counters = tuple((r.bases_tried, r.candidate_sets_evaluated, r.interpolations_performed)
                      for r in fast)
     assert counters == _PINNED_COUNTERS[name]
+
+
+def oracle_case(name, seed=0):
+    """A vault and three probes of it: a genuine capture, the same capture
+    behind four spurious minutiae of top quality (so probe bases 0-3 are
+    spurious and it first unlocks later), and an impostor."""
+    cfg = BUILTIN_CONFIGS[name]
+    t = synth_template(600 + seed, 60)
+    vault, secret = encode_vault(t, cfg.vault_params(), random.Random(601 + seed))
+    genuine = perturb_template(t, rotation=6.0, translation=(4.0, -3.0), jitter=3.0,
+                               theta_jitter=4.0, drop_fraction=0.1, rng=random.Random(602 + seed))
+    fakes = tuple(dataclasses.replace(m, quality=100)
+                  for m in synth_template(700 + seed, 4).minutiae)
+    late = Template(fakes + genuine.minutiae, genuine.width, genuine.height)
+    impostor = synth_template(650 + seed, 60)
+    return vault, secret, {"genuine": genuine, "late": late, "impostor": impostor}
+
+
+def outcome(decode, vault, probe, params, strategy):
+    """MatchResult without its timing, or the error raised, and the rng state after."""
+    rng = random.Random(404)
+    try:
+        res = dataclasses.replace(decode(vault, probe, params, strategy, rng), elapsed_seconds=0.0)
+    except CapacityError as exc:
+        res = repr(exc)
+    return res, rng.getstate()
+
+
+@pytest.mark.parametrize("strategy", [ITERATIVE, SubsetStrategy(RANDOM_GENERATION),
+                                      DEFAULT_STRATEGY], ids=lambda s: s.variant)
+@pytest.mark.parametrize("name", ["fvc-1", "fvc-4", "fvc-6"])
+def test_decode_matches_decoder_oracle(name, strategy):
+    """Batched kernel calls give the reference loop's counters, secret and rng state."""
+    vault, secret, probes = oracle_case(name)
+    params = BUILTIN_CONFIGS[name].match_params()
+    for kind, probe in probes.items():
+        got = outcome(decode_vault, vault, probe, params, strategy)
+        assert got == outcome(decoder_oracle.decode_vault, vault, probe, params, strategy), kind
+        res = got[0]
+        if kind == "impostor":
+            assert not res.matched and res.bases_tried > 0
+        elif not isinstance(res, str):  # random-generation may refuse a large set
+            assert res.matched and res.secret == secret, kind
+
+
+def test_decode_matches_decoder_oracle_without_basis_gate():
+    vault, secret, probes = oracle_case("fvc-1", seed=1)
+    params = dataclasses.replace(CONFIG1.match_params(), theta_basis_thres=360.0)
+    for kind in ("genuine", "impostor"):
+        got = outcome(decode_vault, vault, probes[kind], params, DEFAULT_STRATEGY)
+        assert got == outcome(decoder_oracle.decode_vault, vault, probes[kind], params,
+                              DEFAULT_STRATEGY), kind
+        assert got[0].matched == (kind == "genuine")
+
+
+@pytest.mark.parametrize("gate", [15.0, 360.0])
+def test_kernel_calls_cover_runs_of_whole_probe_bases(gate, monkeypatch):
+    """Each call covers consecutive probe bases, every gated pair of each,
+    in doubling runs cut at the basis that brings it to _PAIRS_PER_CALL."""
+    vault, secret, probes = oracle_case("fvc-1")
+    params = dataclasses.replace(CONFIG1.match_params(), theta_basis_thres=gate)
+    calls = []
+    kernel = decoder.match_margins_many
+
+    def recorded(vault_table, probe_table, probe_bases, vault_bases, params):
+        d = np.abs(probe_table.thetas[:, None] - vault_table.thetas[None, :]) % 360.0
+        gated = np.minimum(d, 360.0 - d) <= params.theta_basis_thres
+        calls.append((gated, np.broadcast_to(probe_bases, np.shape(vault_bases)).copy(),
+                      np.asarray(vault_bases)))
+        return kernel(vault_table, probe_table, probe_bases, vault_bases, params)
+
+    monkeypatch.setattr(decoder, "match_margins_many", recorded)
+    for kind, probe in probes.items():
+        calls.clear()
+        res = decode_vault(vault, probe, params, DEFAULT_STRATEGY, random.Random(404))
+        assert res.matched == (kind != "impostor")
+        swept, run = 0, 1
+        for gated, probe_bases, vault_bases in calls:
+            first, last = probe_bases[0], probe_bases[-1]
+            assert not gated[swept:first].any()  # bases skipped have no pairs
+            assert last - first < run
+            want_probe, want_vault = np.nonzero(gated[first:last + 1])
+            assert np.array_equal(probe_bases, want_probe + first)
+            assert np.array_equal(vault_bases, want_vault)
+            assert len(vault_bases) - gated[last].sum() < decoder._PAIRS_PER_CALL
+            if gate == 360.0:  # no call larger than one probe basis's
+                assert first == last
+            swept, run = last + 1, 2 * run
+        pairs = np.concatenate([probe_bases for _, probe_bases, _ in calls])
+        if kind == "impostor":
+            assert len(pairs) == res.bases_tried and swept == len(calls[0][0])
+            if gate == 15.0:
+                assert len(calls) <= 6
+        else:
+            unlocked_at = pairs[res.bases_tried - 1]  # the probe basis that unlocked
+            assert len(pairs) >= res.bases_tried
+            if kind == "late":
+                assert unlocked_at >= 3
+                if gate == 15.0:  # inside a call of several probe bases
+                    assert len(np.unique(calls[-1][1])) > 1
+            elif unlocked_at == 0:
+                assert len(calls) == 1
