@@ -104,7 +104,12 @@ class _VaultGrid:
         """The flat cell index of each query point."""
         cx, cy, ct = self._axes(x, y, theta)
         inside = (cx >= 0.0) & (cx < self.nx) & (cy >= 0.0) & (cy < self.ny)
-        return np.where(inside, (cx * self.ny + cy) * self.nt + ct, self.empty).astype(np.intp)
+        cx *= self.ny  # (cx * ny + cy) * nt + ct, in place
+        cx += cy
+        cx *= self.nt
+        cx += ct
+        cx[~inside] = self.empty
+        return cx.astype(np.intp)
 
 
 class GeometricTable:
@@ -197,8 +202,10 @@ def match_margins_many(
     # each pair's probe frame in the vault image: (pairs, kp)
     qx = T.xs[b, None] + (cb * px - sb * py)
     qy = T.ys[b, None] + (sb * px + cb * py)
+    del px, py
     qt = T.thetas[b, None] + P[slot, :, 2]  # the grid wraps the theta cell index
     cell = grid.cells(qx.ravel(), qy.ravel(), qt.ravel())
+    del qx, qy, qt
     # one (pair, probe minutia, vault point) triple per member of each cell read
     k = grid.counts[cell]
     query = np.repeat(np.arange(len(cell)), k)

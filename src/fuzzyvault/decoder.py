@@ -126,12 +126,12 @@ def try_unlock(subset: Sequence[VaultPoint], degree: int) -> bytes | None:
     """Interpolate a subset and check the embedded CRC; the secret on success.
 
     Subsets with a repeated X cannot come from distinct genuine points,
-    so they are dismissed as negatives without interpolating.
+    so they are dismissed as negatives: interpolation refuses them.
     """
-    pts = [(p.X, p.Y) for p in subset]
-    if len({x for x, _ in pts}) != len(pts):
+    try:
+        return secret_from_polynomial(gf32.lagrange_interpolate([(p.X, p.Y) for p in subset], degree))
+    except gf32.DuplicateAbscissa:
         return None
-    return secret_from_polynomial(gf32.lagrange_interpolate(pts, degree))
 
 
 def decode_vault(

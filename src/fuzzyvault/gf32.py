@@ -6,19 +6,19 @@ Multiplication is a carry-less product reduced modulo an irreducible
 degree-32 polynomial that is selected deterministically (lowest integer
 encoding first), so every build works in the same field.
 
-2^32 elements rule out log/exp tables, so multiplication is a
-shift-and-xor loop and inversion runs the extended Euclidean algorithm
-on bit-packed polynomials.  Evaluating one polynomial at many points
-(poly_eval_many, a vault's projection) runs the same algorithm in numpy,
-vectorised over the points.  Interpolation stays scalar: it handles
-only degree + 1 points, so a batch would be small, and a faster
-interpolator waits until the benchmark keeps its per-attempt records in
-bounded memory, since the attack workload's peak memory grows with the
-attempt rate (ROADMAP item 1).
+2^32 elements rule out log/exp tables.  gf_mul is a shift-and-xor loop
+(poly_eval_many runs it in numpy over all points) and gf_inv the extended
+Euclidean algorithm.  poly_eval and lagrange_interpolate reuse each
+multiplier over a row of work, so they multiply through a 16-entry table
+of its nibble multiples, and interpolation takes one gf_inv for all its
+denominators.  A tower field waits: the attack workload's peak memory
+grows with the attempt rate until the benchmark bounds per-attempt
+records (ROADMAP item 1).
 """
 
 from __future__ import annotations
 
+import itertools
 from typing import Sequence
 
 import numpy as np
@@ -90,11 +90,28 @@ def gf_inv(a: int) -> int:
     return t0
 
 
+def _nibbles(m: int) -> list[int]:
+    """m times each 4-bit element n = 0..15: the table _tmul multiplies by m through."""
+    table = [0]
+    for _ in range(4):
+        table += [t ^ m for t in table]
+        m = (m << 1) ^ (REDUCTION_POLYNOMIAL if m & 0x80000000 else 0)
+    return table
+
+
+def _tmul(table: list[int], b: int) -> int:
+    """m times b, m's table walked by b's nibbles from the top, folding each 4 bits shifted out."""
+    a = table[b >> 28]
+    for shift in (24, 20, 16, 12, 8, 4, 0):
+        a = ((a << 4) & FIELD_MASK) ^ _FOLD[a >> 28] ^ table[(b >> shift) & 15]
+    return a
+
+
 def poly_eval(coefficients: Sequence[int], x: int) -> int:
     """Evaluate a polynomial (index i = coefficient of x^i) by Horner's rule."""
-    acc = 0
+    table, acc = _nibbles(x), 0
     for c in reversed(coefficients):
-        acc = gf_mul(acc, x) ^ c
+        acc = _tmul(table, acc) ^ c
     return acc
 
 
@@ -141,28 +158,30 @@ def lagrange_interpolate(points: Sequence[tuple[int, int]], degree: int) -> list
     xs = [x for x, _ in points]
     if len(set(xs)) != k:
         raise DuplicateAbscissa("interpolation abscissas must be pairwise distinct")
+    tables = [_nibbles(x) for x in xs]
 
     # Master polynomial prod_i (X + x_i), low-to-high coefficients, degree k.
     master = [1]
-    for x in xs:
-        nxt = [0] * (len(master) + 1)
-        for j, c in enumerate(master):
-            nxt[j] ^= gf_mul(c, x)
-            nxt[j + 1] ^= c
-        master = nxt
+    for t in tables:
+        master = [a ^ _tmul(t, c) for a, c in zip([0] + master, master + [0])]
 
+    quotients = []
+    for t in tables:
+        # Synthetic division of master by (X + x_i), from the top: quotient of degree k-1.
+        q = [master[k]]
+        for j in range(k - 1, 0, -1):
+            q.append(master[j] ^ _tmul(t, q[-1]))
+        quotients.append(q[::-1])
+    denoms = [poly_eval(q, x) for q, x in zip(quotients, xs)]  # prod_{j != i} (x_i + x_j) != 0
+
+    # One gf_inv for all k denominators (Montgomery): inv walks back from 1 / prefix[k].
+    prefix = list(itertools.accumulate(denoms, gf_mul, initial=1))
+    inv = gf_inv(prefix[-1])
     result = [0] * k
-    for x, y in points:
-        # Synthetic division of master by (X + x): quotient q of degree k-1.
-        q = [0] * k
-        carry = master[k]
-        for j in range(k - 1, -1, -1):
-            q[j] = carry
-            carry = master[j] ^ gf_mul(carry, x)
-        denom = poly_eval(q, x)  # prod_{j != i} (x_i + x_j), never zero here
-        scale = gf_mul(y, gf_inv(denom))
-        for j in range(k):
-            result[j] ^= gf_mul(q[j], scale)
+    for i in range(k - 1, -1, -1):
+        scale = _nibbles(gf_mul(points[i][1], gf_mul(inv, prefix[i])))  # y_i / denom_i
+        inv = gf_mul(inv, denoms[i])
+        result = [r ^ _tmul(scale, c) for r, c in zip(result, quotients[i])]
     return result
 
 
@@ -175,3 +194,7 @@ def _clmul(a: int, b: int) -> int:
         a >>= 1
         b <<= 1
     return p
+
+
+# t * x^32 = t * (x^7 + x^3 + x^2 + 1), 11 bits at most, for the 4 bits t _tmul shifts out.
+_FOLD = tuple(_clmul(t, REDUCTION_POLYNOMIAL ^ _OVERFLOW_BIT) for t in range(16))

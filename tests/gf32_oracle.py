@@ -1,12 +1,15 @@
-"""Reference search for the field's reduction polynomial.
+"""Reference code for gf32: the reduction polynomial search and the
+scalar interpolator.
 
-gf32 pins REDUCTION_POLYNOMIAL as a constant; this walks monic degree-d
-polynomials in increasing integer encoding order and returns the first
-one that passes Rabin's irreducibility test, so the tests can re-derive
-the constant and check the test itself against trial division.
+gf32 pins REDUCTION_POLYNOMIAL as a constant; find_irreducible walks monic
+degree-d polynomials in increasing integer encoding order and returns the
+first one that passes Rabin's irreducibility test, so the tests can
+re-derive the constant and check the test itself against trial division.
+lagrange_interpolate is the shift-and-xor interpolator the table-driven
+one in gf32 must agree with bit for bit.
 """
 
-from fuzzyvault.gf32 import _clmul
+from fuzzyvault.gf32 import ArityMismatch, DuplicateAbscissa, _clmul, gf_inv, gf_mul
 
 
 def find_irreducible(degree: int) -> int:
@@ -72,3 +75,43 @@ def _is_irreducible(f: int) -> bool:
         if _poly_gcd(t_k ^ x, f) != 1:
             return False
     return True
+
+
+def lagrange_interpolate(points, degree):
+    """The scalar interpolator gf32 shipped before its nibble tables.
+
+    Every multiply is a shift-and-xor gf_mul and every denominator gets
+    its own gf_inv; gf32.lagrange_interpolate must return the same
+    coefficients and raise the same errors.
+    """
+    k = degree + 1
+    if len(points) != k:
+        raise ArityMismatch(f"need {k} points for degree {degree}, got {len(points)}")
+    xs = [x for x, _ in points]
+    if len(set(xs)) != k:
+        raise DuplicateAbscissa("interpolation abscissas must be pairwise distinct")
+
+    # Master polynomial prod_i (X + x_i), low-to-high coefficients, degree k.
+    master = [1]
+    for x in xs:
+        nxt = [0] * (len(master) + 1)
+        for j, c in enumerate(master):
+            nxt[j] ^= gf_mul(c, x)
+            nxt[j + 1] ^= c
+        master = nxt
+
+    result = [0] * k
+    for x, y in points:
+        # Synthetic division of master by (X + x): quotient q of degree k-1.
+        q = [0] * k
+        carry = master[k]
+        for j in range(k - 1, -1, -1):
+            q[j] = carry
+            carry = master[j] ^ gf_mul(carry, x)
+        denom = 0  # prod_{j != i} (x_i + x_j) by Horner, never zero here
+        for c in reversed(q):
+            denom = gf_mul(denom, x) ^ c
+        scale = gf_mul(y, gf_inv(denom))
+        for j in range(k):
+            result[j] ^= gf_mul(q[j], scale)
+    return result

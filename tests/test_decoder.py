@@ -4,6 +4,7 @@ import dataclasses
 import itertools
 import math
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -381,3 +382,21 @@ def test_kernel_calls_cover_runs_of_whole_probe_bases(gate, monkeypatch):
                     assert len(np.unique(calls[-1][1])) > 1
             elif unlocked_at == 0:
                 assert len(calls) == 1
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_impostor_decode_peak_memory(seed):
+    """The kernel frees its (pairs, probe minutiae) temporaries once it has
+    each query's cell, so a whole fvc-1 reject sweep peaks at 1.05-1.09 MB
+    (1.34-1.40 MB while they stayed alive until the kernel returned)."""
+    vault, _, probes = oracle_case("fvc-1", seed)
+    params = CONFIG1.match_params()
+    decode_vault(vault, probes["impostor"], params, DEFAULT_STRATEGY, random.Random(404))
+    tracemalloc.start()
+    try:
+        res = decode_vault(vault, probes["impostor"], params, DEFAULT_STRATEGY, random.Random(404))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert not res.matched and res.bases_tried > 0
+    assert peak <= 1.15e6

@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from fuzzyvault import gf32
 from gf32_oracle import _is_irreducible, find_irreducible
+from gf32_oracle import lagrange_interpolate as scalar_interpolate
 
 
 # --- oracles: naive bit-twiddling implementations kept deliberately dumb ---
@@ -85,6 +86,7 @@ def test_mul_matches_schoolbook_oracle():
     pairs += [(rng.getrandbits(32), rng.getrandbits(32)) for _ in range(2000)]
     for a, b in pairs:
         assert gf32.gf_mul(a, b) == mul_oracle(a, b)
+        assert gf32._tmul(gf32._nibbles(a), b) == mul_oracle(a, b)
 
 
 def test_field_axioms_randomized():
@@ -130,9 +132,10 @@ def test_poly_eval_matches_power_sum_oracle():
         assert gf32.poly_eval(coeffs, x) == eval_oracle(coeffs, x)
 
 
-# field elements with the edges pinned: 0, 1, the all-ones word and the
-# reduction tail 0x8D, whose products exercise both folds
-_elements = st.one_of(st.sampled_from([0, 1, 0x8D, 0xFFFFFFFF]), st.integers(0, 0xFFFFFFFF))
+# field elements with the edges pinned: 0, 1, the top bit, the all-ones
+# word and the reduction tail 0x8D, whose products exercise both folds
+_elements = st.one_of(st.sampled_from([0, 1, 0x8D, 0x80000000, 0xFFFFFFFF]),
+                      st.integers(0, 0xFFFFFFFF))
 
 
 @settings(max_examples=300, deadline=None)
@@ -178,3 +181,52 @@ def test_interpolate_rejects_wrong_arity():
     points = [(1, 1), (2, 2)]
     with pytest.raises(gf32.ArityMismatch):
         gf32.lagrange_interpolate(points, 2)
+
+
+@settings(max_examples=300, deadline=None)
+@given(a=_elements, b=_elements)
+def test_table_multiply_matches_gf_mul(a, b):
+    table = gf32._nibbles(a)
+    assert table == [gf32.gf_mul(a, n) for n in range(16)]
+    assert gf32._tmul(table, b) == gf32.gf_mul(a, b) == mul_oracle(a, b)
+
+
+@st.composite
+def _point_sets(draw):
+    """Degree 0-16 and that many + 1 points with distinct xs, edges included."""
+    degree = draw(st.integers(0, 16))
+    xs = draw(st.lists(_elements, min_size=degree + 1, max_size=degree + 1, unique=True))
+    ys = draw(st.lists(_elements, min_size=degree + 1, max_size=degree + 1))
+    return list(zip(xs, ys)), degree
+
+
+@settings(max_examples=200, deadline=None)
+@given(case=_point_sets())
+def test_interpolate_matches_scalar_oracle(case):
+    points, degree = case
+    assert gf32.lagrange_interpolate(points, degree) == scalar_interpolate(points, degree)
+
+
+def _raised(fn, points, degree):
+    with pytest.raises(ValueError) as info:
+        fn(points, degree)
+    return type(info.value), str(info.value)
+
+
+@settings(max_examples=100, deadline=None)
+@given(case=_point_sets(), extra=st.sampled_from([-1, 1]), dup=st.data())
+def test_interpolate_errors_match_scalar_oracle(case, extra, dup):
+    points, degree = case
+    # one point too few or too many for the degree
+    wrong = points[:-1] if extra < 0 else points + [(points[0][0] ^ 1, 0)]
+    got = _raised(gf32.lagrange_interpolate, wrong, degree)
+    assert got[0] is gf32.ArityMismatch
+    assert got == _raised(scalar_interpolate, wrong, degree)
+    if degree:
+        # one x repeated, in place of another point
+        i, j = dup.draw(st.lists(st.integers(0, degree), min_size=2, max_size=2, unique=True))
+        repeated = list(points)
+        repeated[j] = (points[i][0], points[j][1])
+        got = _raised(gf32.lagrange_interpolate, repeated, degree)
+        assert got[0] is gf32.DuplicateAbscissa
+        assert got == _raised(scalar_interpolate, repeated, degree)
