@@ -91,8 +91,9 @@ class _VaultGrid:
                   + (cy[:, None] + near)[:, None, :, None]) * self.nt
                  + ((ct[:, None] + near_t) % self.nt)[:, None, None, :])
         cells = cells.reshape(len(xs), -1).astype(np.intp)
-        self.members = np.repeat(np.arange(len(xs)), cells.shape[1])[
-            np.argsort(cells.ravel(), kind="stable")]
+        # the order inside a cell is free: match_margins_many returns one
+        # (pair, point, margin) row per (pair, point), sorted by all three
+        self.members = np.argsort(cells.ravel()) // cells.shape[1]
         self.counts = np.bincount(cells.ravel(), minlength=self.empty + 1)
         self.starts = np.cumsum(self.counts) - self.counts
 

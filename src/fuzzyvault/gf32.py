@@ -6,19 +6,25 @@ Multiplication is a carry-less product reduced modulo an irreducible
 degree-32 polynomial that is selected deterministically (lowest integer
 encoding first), so every build works in the same field.
 
-2^32 elements rule out log/exp tables.  gf_mul is a shift-and-xor loop
-(poly_eval_many runs it in numpy over all points) and gf_inv the extended
-Euclidean algorithm.  poly_eval and lagrange_interpolate reuse each
-multiplier over a row of work, so they multiply through a 16-entry table
-of its nibble multiples, and interpolation takes one gf_inv for all its
-denominators.  A tower field waits: the attack workload's peak memory
-grows with the attempt rate until the benchmark bounds per-attempt
-records (ROADMAP item 1).
+2^32 elements rule out log/exp tables.  gf_mul is a bit-sliced integer
+multiply (four classes of every fourth bit, 16 integer products; BearSSL's
+ghash_ctmul), poly_eval_many runs a shift-and-xor multiply in numpy over
+all points, and gf_inv is the extended Euclidean algorithm.  poly_eval and
+lagrange_interpolate reuse each multiplier over a row of work, so they
+multiply through a 16-entry table of its nibble multiples.  Interpolation
+takes each denominator prod_{j != i} (x_i + x_j) as the master polynomial's
+derivative at x_i, one gf_inv for all of them, and its coefficients from
+the power sums sum_i (y_i / denom_i) x_i^m instead of k quotient
+polynomials.  A tower field waits: the attack workload's peak memory grows
+with the attempt rate until the benchmark bounds per-attempt records
+(ROADMAP item 1).
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
+import operator
 from typing import Sequence
 
 import numpy as np
@@ -31,8 +37,6 @@ FIELD_MASK = 0xFFFFFFFF
 # search; test_reduction_polynomial_is_pinned_search_result in
 # tests/test_gf32.py re-derives it with Rabin's criterion.
 REDUCTION_POLYNOMIAL = 0x10000008D
-
-_OVERFLOW_BIT = 1 << FIELD_BITS
 
 
 class ZeroInverse(ZeroDivisionError):
@@ -53,16 +57,27 @@ def gf_add(a: int, b: int) -> int:
 
 
 def gf_mul(a: int, b: int) -> int:
-    """Carry-less product of a and b reduced modulo REDUCTION_POLYNOMIAL."""
-    p = 0
-    while b:
-        if b & 1:
-            p ^= a
-        b >>= 1
-        a <<= 1
-        if a & _OVERFLOW_BIT:
-            a ^= REDUCTION_POLYNOMIAL
-    return p
+    """Carry-less product of a and b reduced modulo REDUCTION_POLYNOMIAL.
+
+    Bit-sliced integer multiply: each operand is split into its four
+    classes of every fourth bit, and the integer product of a class-i and a
+    class-j part has in each column of class i + j (mod 4) the count of
+    bit pairs meeting there, at most 8 < 16, so no carry reaches the next
+    column of that class and its low bit is the carry-less sum.  The 16
+    products are XORed per result class and masked to it.  The 63-bit
+    product hi * x^32 + lo reduces by x^32 = x^7 + x^3 + x^2 + 1: the
+    second of poly_eval_many's two folds only brings down the 6 bits the
+    first pushes past bit 31, so hi takes those in and is folded once.
+    """
+    a0, a1, a2, a3 = a & 0x11111111, a & 0x22222222, a & 0x44444444, a & 0x88888888
+    b0, b1, b2, b3 = b & 0x11111111, b & 0x22222222, b & 0x44444444, b & 0x88888888
+    p = ((a0 * b0 ^ a1 * b3 ^ a2 * b2 ^ a3 * b1) & 0x1111111111111111
+         | (a0 * b1 ^ a1 * b0 ^ a2 * b3 ^ a3 * b2) & 0x2222222222222222
+         | (a0 * b2 ^ a1 * b1 ^ a2 * b0 ^ a3 * b3) & 0x4444444444444444
+         | (a0 * b3 ^ a1 * b2 ^ a2 * b1 ^ a3 * b0) & 0x8888888888888888)
+    hi = p >> FIELD_BITS
+    hi ^= (hi >> 25) ^ (hi >> 29) ^ (hi >> 30)
+    return (p ^ hi ^ (hi << 2) ^ (hi << 3) ^ (hi << 7)) & FIELD_MASK
 
 
 def gf_inv(a: int) -> int:
@@ -165,23 +180,28 @@ def lagrange_interpolate(points: Sequence[tuple[int, int]], degree: int) -> list
     for t in tables:
         master = [a ^ _tmul(t, c) for a, c in zip([0] + master, master + [0])]
 
-    quotients = []
-    for t in tables:
-        # Synthetic division of master by (X + x_i), from the top: quotient of degree k-1.
-        q = [master[k]]
-        for j in range(k - 1, 0, -1):
-            q.append(master[j] ^ _tmul(t, q[-1]))
-        quotients.append(q[::-1])
-    denoms = [poly_eval(q, x) for q, x in zip(quotients, xs)]  # prod_{j != i} (x_i + x_j) != 0
+    # prod_{j != i} (x_i + x_j) = master'(x_i) != 0; in characteristic 2 the
+    # derivative keeps only the odd terms: master'(X) = sum_t master[2t+1] X^2t.
+    odd = master[1::2]
+    denoms = [poly_eval(odd, _tmul(t, x)) for t, x in zip(tables, xs)]
 
     # One gf_inv for all k denominators (Montgomery): inv walks back from 1 / prefix[k].
     prefix = list(itertools.accumulate(denoms, gf_mul, initial=1))
     inv = gf_inv(prefix[-1])
-    result = [0] * k
+    s = [0] * k
     for i in range(k - 1, -1, -1):
-        scale = _nibbles(gf_mul(points[i][1], gf_mul(inv, prefix[i])))  # y_i / denom_i
+        s[i] = gf_mul(points[i][1], gf_mul(inv, prefix[i]))  # y_i / denom_i
         inv = gf_mul(inv, denoms[i])
-        result = [r ^ _tmul(scale, c) for r, c in zip(result, quotients[i])]
+
+    # The result is sum_i s_i master(X) / (X + x_i), and that quotient is
+    # sum_j X^j sum_m master[j+1+m] x_i^m, so coefficient j is
+    # sum_m master[j+1+m] P_m with the power sums P_m = sum_i s_i x_i^m.
+    result = [0] * k
+    for m in range(k):
+        if m:
+            s = [_tmul(t, v) for t, v in zip(tables, s)]  # s_i x_i^m
+        pm = _nibbles(functools.reduce(operator.xor, s))
+        result[:k - m] = [r ^ _tmul(pm, c) for r, c in zip(result, master[m + 1:])]
     return result
 
 
@@ -197,4 +217,4 @@ def _clmul(a: int, b: int) -> int:
 
 
 # t * x^32 = t * (x^7 + x^3 + x^2 + 1), 11 bits at most, for the 4 bits t _tmul shifts out.
-_FOLD = tuple(_clmul(t, REDUCTION_POLYNOMIAL ^ _OVERFLOW_BIT) for t in range(16))
+_FOLD = tuple(_clmul(t, REDUCTION_POLYNOMIAL & FIELD_MASK) for t in range(16))

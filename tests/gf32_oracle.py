@@ -1,15 +1,32 @@
-"""Reference code for gf32: the reduction polynomial search and the
-scalar interpolator.
+"""Reference code for gf32: the reduction polynomial search, the
+shift-and-xor multiply and the scalar interpolator.
 
 gf32 pins REDUCTION_POLYNOMIAL as a constant; find_irreducible walks monic
 degree-d polynomials in increasing integer encoding order and returns the
 first one that passes Rabin's irreducibility test, so the tests can
 re-derive the constant and check the test itself against trial division.
-lagrange_interpolate is the shift-and-xor interpolator the table-driven
-one in gf32 must agree with bit for bit.
+gf_mul is the shift-and-xor multiply the bit-sliced one in gf32 must agree
+with, and lagrange_interpolate, built on it, the interpolator the
+power-sum one in gf32 must agree with bit for bit.
 """
 
-from fuzzyvault.gf32 import ArityMismatch, DuplicateAbscissa, _clmul, gf_inv, gf_mul
+from fuzzyvault.gf32 import (
+    REDUCTION_POLYNOMIAL, ArityMismatch, DuplicateAbscissa, _clmul, gf_inv,
+)
+
+
+def gf_mul(a: int, b: int) -> int:
+    """The product gf32 shipped before its bit-sliced multiply: a is doubled
+    and reduced once per bit of b, and added where that bit is set."""
+    p = 0
+    while b:
+        if b & 1:
+            p ^= a
+        b >>= 1
+        a <<= 1
+        if a & (1 << 32):
+            a ^= REDUCTION_POLYNOMIAL
+    return p
 
 
 def find_irreducible(degree: int) -> int:

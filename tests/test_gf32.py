@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from fuzzyvault import gf32
-from gf32_oracle import _is_irreducible, find_irreducible
+from gf32_oracle import _is_irreducible, find_irreducible, gf_mul as shift_xor_mul
 from gf32_oracle import lagrange_interpolate as scalar_interpolate
 
 
@@ -43,12 +43,12 @@ def irreducible_by_trial_division(f: int) -> bool:
 
 
 def eval_oracle(coeffs, x):
-    """Power-sum evaluation: sum c_i * x^i, powers by repeated gf_mul."""
+    """Power-sum evaluation: sum c_i * x^i, powers by repeated shift-and-xor products."""
     acc = 0
     power = 1
     for c in coeffs:
-        acc = gf32.gf_add(acc, gf32.gf_mul(c, power))
-        power = gf32.gf_mul(power, x)
+        acc = gf32.gf_add(acc, shift_xor_mul(c, power))
+        power = shift_xor_mul(power, x)
     return acc
 
 
@@ -81,7 +81,8 @@ def test_mul_pinned_single_reduction():
 
 def test_mul_matches_schoolbook_oracle():
     rng = random.Random(101)
-    edge = [0, 1, 2, 0x8D, 0x80000000, 0xFFFFFFFF]
+    edge = [0, 1, 2, 0x8D, 0x80000000, 0xFFFFFFFF, 0x11111111, 0x22222222, 0x44444444,
+            0x88888888]
     pairs = [(a, b) for a in edge for b in edge]
     pairs += [(rng.getrandbits(32), rng.getrandbits(32)) for _ in range(2000)]
     for a, b in pairs:
@@ -133,8 +134,11 @@ def test_poly_eval_matches_power_sum_oracle():
 
 
 # field elements with the edges pinned: 0, 1, the top bit, the all-ones
-# word and the reduction tail 0x8D, whose products exercise both folds
-_elements = st.one_of(st.sampled_from([0, 1, 0x8D, 0x80000000, 0xFFFFFFFF]),
+# word, the reduction tail 0x8D, whose products exercise both folds, and
+# each full class of every fourth bit, whose products reach gf_mul's
+# largest column count, 8
+_elements = st.one_of(st.sampled_from([0, 1, 0x8D, 0x80000000, 0xFFFFFFFF, 0x11111111,
+                                       0x22222222, 0x44444444, 0x88888888]),
                       st.integers(0, 0xFFFFFFFF))
 
 
@@ -183,12 +187,12 @@ def test_interpolate_rejects_wrong_arity():
         gf32.lagrange_interpolate(points, 2)
 
 
-@settings(max_examples=300, deadline=None)
+@settings(max_examples=500, deadline=None)
 @given(a=_elements, b=_elements)
 def test_table_multiply_matches_gf_mul(a, b):
     table = gf32._nibbles(a)
     assert table == [gf32.gf_mul(a, n) for n in range(16)]
-    assert gf32._tmul(table, b) == gf32.gf_mul(a, b) == mul_oracle(a, b)
+    assert gf32._tmul(table, b) == gf32.gf_mul(a, b) == mul_oracle(a, b) == shift_xor_mul(a, b)
 
 
 @st.composite
