@@ -28,7 +28,6 @@ from .client import verify as client_verify
 from .decoder import (
     RANDOM_SELECTION,
     VARIANTS,
-    CapacityError,
     SubsetStrategy,
     decode_vault,
     try_unlock,
@@ -56,8 +55,7 @@ from .vault import (
 
 # Typed errors any subcommand may end in; the package's own input and
 # schema errors are ValueError subclasses.
-_USAGE_ERRORS = (InsufficientMinutiae, ChaffExhausted, CapacityError, StorageUnavailable,
-                 ValueError, OSError)
+_USAGE_ERRORS = (InsufficientMinutiae, ChaffExhausted, StorageUnavailable, ValueError, OSError)
 
 
 def _fail(exc) -> None:
@@ -167,10 +165,10 @@ def security(genuine, chaff, degree, interp_seconds):
 @click.option("--trials", default=200, show_default=True, type=click.IntRange(min=1))
 @click.option("--seed", type=int, default=0, show_default=True)
 def benchmark(degree, trials, seed):
-    """Measure seconds per unlock attempt; feed the result to security --l."""
+    """Median seconds per unlock attempt, after one warm-up; feed it to security --l."""
     rng = random.Random(seed)
     samples = []
-    for _ in range(trials):
+    for _ in range(trials + 1):
         xs = rng.sample(range(1 << 32), degree + 1)
         subset = [VaultPoint(x, rng.getrandbits(32)) for x in xs]
         t0 = time.perf_counter()
@@ -179,7 +177,7 @@ def benchmark(degree, trials, seed):
     click.echo(json.dumps({
         "degree": degree,
         "trials": trials,
-        "interpolation_seconds": statistics.fmean(samples),
+        "interpolation_seconds": statistics.median(samples[1:]),
     }))
 
 

@@ -138,11 +138,10 @@ def verify(
     or raises UnknownUser (the id has no vaults).  Any other exception is
     no decision and keeps the probe: the store cannot be reached
     (StorageUnavailable), a stored vault does not fit params
-    (DocumentInvalid), the probe has too few minutiae
-    (InsufficientMinutiae) or the strategy exceeds its budget
-    (CapacityError).  When some of the user's vault files are corrupt, a
-    readable vault that unlocks is still an accept; if none unlocks, an
-    unreadable one might have, so StorageUnavailable is raised.
+    (DocumentInvalid) or the probe has too few minutiae
+    (InsufficientMinutiae).  When some of the user's vault files are
+    corrupt, a readable vault that unlocks is still an accept; if none
+    unlocks, an unreadable one might have, so StorageUnavailable is raised.
     """
     if rng is None:
         rng = random.Random()

@@ -38,7 +38,7 @@ VARIANTS = (ITERATIVE_SELECTION, RANDOM_GENERATION, RANDOM_SELECTION)
 
 # Per basis pair, random-selection stops after this many draws unless told otherwise.
 DEFAULT_ITERATION_CAP = 2**20
-# random-generation refuses to materialize more subsets than this.
+# random-generation shuffles the subsets of the longest candidate prefix that has at most this many.
 SUBSET_BUDGET = 1_000_000
 # A kernel call stops at the first probe basis that brings it to this many basis pairs.
 _PAIRS_PER_CALL = 256
@@ -48,17 +48,13 @@ class ArityError(ValueError):
     """Raised when a candidate set is smaller than the subset size."""
 
 
-class CapacityError(RuntimeError):
-    """Raised when random-generation would materialize past its budget."""
-
-
 @dataclass(frozen=True)
 class SubsetStrategy:
     """How candidate subsets are enumerated for interpolation.
 
     iterative-selection walks all combinations lexicographically
     (deterministic, exhaustive); random-generation materializes and
-    shuffles them (exhaustive, memory-bound); random-selection draws
+    shuffles them (exhaustive up to SUBSET_BUDGET); random-selection draws
     subsets uniformly at random, repeats allowed, capped by
     iteration_cap, which defaults to DEFAULT_ITERATION_CAP for it and
     to no cap for the exhaustive variants.
@@ -99,7 +95,6 @@ def generate_subsets(
 
     Raises:
         ArityError: fewer candidates than the subset size.
-        CapacityError: random-generation asked to materialize past budget.
     """
     candidates = tuple(candidates)
     m = len(candidates)
@@ -110,12 +105,9 @@ def generate_subsets(
     if strategy.variant == ITERATIVE_SELECTION:
         stream: Iterable[tuple[VaultPoint, ...]] = itertools.combinations(candidates, size)
     elif strategy.variant == RANDOM_GENERATION:
-        total = math.comb(m, size)
-        if total > SUBSET_BUDGET:
-            raise CapacityError(
-                f"{total} subsets exceed the materialization budget of {SUBSET_BUDGET}"
-            )
-        stream = list(itertools.combinations(candidates, size))
+        while math.comb(m, size) > SUBSET_BUDGET:
+            m -= 1
+        stream = list(itertools.combinations(candidates[:m], size))
         rng.shuffle(stream)
     else:
         stream = (tuple(rng.sample(candidates, size)) for _ in range(math.comb(m, size)))

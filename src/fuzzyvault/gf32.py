@@ -6,18 +6,20 @@ Multiplication is a carry-less product reduced modulo an irreducible
 degree-32 polynomial that is selected deterministically (lowest integer
 encoding first), so every build works in the same field.
 
-2^32 elements rule out log/exp tables.  gf_mul is a bit-sliced integer
-multiply (four classes of every fourth bit, 16 integer products; BearSSL's
-ghash_ctmul), poly_eval_many runs a shift-and-xor multiply in numpy over
-all points, and gf_inv is the extended Euclidean algorithm.  poly_eval and
-lagrange_interpolate reuse each multiplier over a row of work, so they
-multiply through a 16-entry table of its nibble multiples.  Interpolation
-takes each denominator prod_{j != i} (x_i + x_j) as the master polynomial's
-derivative at x_i, one gf_inv for all of them, and its coefficients from
-the power sums sum_i (y_i / denom_i) x_i^m instead of k quotient
-polynomials.  A tower field waits: the attack workload's peak memory grows
-with the attempt rate until the benchmark bounds per-attempt records
-(ROADMAP item 1).
+2^32 elements rule out log/exp tables, and there are two multiplies.  gf_mul
+is a bit-sliced integer multiply (four classes of every fourth bit, 16
+integer products; BearSSL's ghash_ctmul) whose products fit in 64 bits, so
+poly_eval_many runs it on np.uint64 arrays, Horner's rule over all points at
+once.  poly_eval and lagrange_interpolate reuse each multiplier over a row
+of work, so they multiply through _tmul and a 16-entry table of its nibble
+multiples.  gf_inv, the extended Euclidean algorithm, multiplies by nothing:
+each quotient bit goes into the Bezout coefficient as it is found.
+Interpolation takes each denominator prod_{j != i} (x_i + x_j) as the master
+polynomial's derivative at x_i, one gf_inv for all of them, and its
+coefficients from the power sums sum_i (y_i / denom_i) x_i^m instead of k
+quotient polynomials.  A tower field waits: the attack workload's peak
+memory grows with the attempt rate until the benchmark bounds per-attempt
+records (ROADMAP item 1).
 """
 
 from __future__ import annotations
@@ -59,15 +61,16 @@ def gf_add(a: int, b: int) -> int:
 def gf_mul(a: int, b: int) -> int:
     """Carry-less product of a and b reduced modulo REDUCTION_POLYNOMIAL.
 
-    Bit-sliced integer multiply: each operand is split into its four
-    classes of every fourth bit, and the integer product of a class-i and a
-    class-j part has in each column of class i + j (mod 4) the count of
-    bit pairs meeting there, at most 8 < 16, so no carry reaches the next
-    column of that class and its low bit is the carry-less sum.  The 16
-    products are XORed per result class and masked to it.  The 63-bit
-    product hi * x^32 + lo reduces by x^32 = x^7 + x^3 + x^2 + 1: the
-    second of poly_eval_many's two folds only brings down the 6 bits the
-    first pushes past bit 31, so hi takes those in and is folded once.
+    a and b are field elements, or np.uint64 arrays of them multiplied
+    elementwise.  Bit-sliced integer multiply: each operand is split into
+    its four classes of every fourth bit, and the integer product of a
+    class-i and a class-j part has in each column of class i + j (mod 4) the
+    count of bit pairs meeting there, at most 8 < 16, so no carry reaches
+    the next column of that class and its low bit is the carry-less sum.
+    The 16 products, each under 2^64, are XORed per result class and masked
+    to it.  The 63-bit product hi * x^32 + lo reduces by
+    x^32 = x^7 + x^3 + x^2 + 1: folding hi pushes at most 6 bits past bit
+    31, so hi first takes those in and is folded once.
     """
     a0, a1, a2, a3 = a & 0x11111111, a & 0x22222222, a & 0x44444444, a & 0x88888888
     b0, b1, b2, b3 = b & 0x11111111, b & 0x22222222, b & 0x44444444, b & 0x88888888
@@ -91,16 +94,15 @@ def gf_inv(a: int) -> int:
     r0, r1 = REDUCTION_POLYNOMIAL, a
     t0, t1 = 0, 1
     while r1:
-        # One polynomial division step: q, r = divmod(r0, r1) over GF(2).
-        q = 0
-        r = r0
+        # r0 / r1 over GF(2); each quotient bit goes into t = t0 - q * t1 as it is found.
+        r, t = r0, t0
         rb = r1.bit_length()
         while r.bit_length() >= rb:
             shift = r.bit_length() - rb
-            q ^= 1 << shift
             r ^= r1 << shift
+            t ^= t1 << shift
         r0, r1 = r1, r
-        t0, t1 = t1, t0 ^ _clmul(q, t1)
+        t0, t1 = t1, t
     # r0 is gcd(modulus, a) == 1 because the modulus is irreducible.
     return t0
 
@@ -130,29 +132,12 @@ def poly_eval(coefficients: Sequence[int], x: int) -> int:
     return acc
 
 
-_BITS = np.arange(FIELD_BITS, dtype=np.uint64)
-
-
-def _fold(v: np.ndarray) -> np.ndarray:
-    """v with bits 32 and up folded down once by x^32 = x^7 + x^3 + x^2 + 1."""
-    hi = v >> np.uint64(FIELD_BITS)
-    return ((v & np.uint64(FIELD_MASK)) ^ hi ^ (hi << np.uint64(2)) ^ (hi << np.uint64(3))
-            ^ (hi << np.uint64(7)))
-
-
 def poly_eval_many(coefficients: Sequence[int], xs: Sequence[int]) -> list[int]:
-    """poly_eval at every x in xs (field elements), as plain ints.
-
-    Horner's rule over all points at once in uint64: each step multiplies
-    carry-less by XOR-reducing the 32 shifted copies of x that the bits of
-    the accumulator select (a product of at most 63 bits), then reduces with
-    two folds, 63 -> 38 -> 32 bits.
-    """
-    shifted = np.asarray(xs, dtype=np.uint64)[:, None] << _BITS  # x * t^i, unreduced
-    acc = np.zeros(len(xs), dtype=np.uint64)
+    """poly_eval at every x in xs, as plain ints: Horner's rule through gf_mul on np.uint64."""
+    xs = np.asarray(xs, dtype=np.uint64)
+    acc = np.zeros_like(xs)
     for c in reversed(coefficients):
-        take = np.uint64(0) - ((acc[:, None] >> _BITS) & np.uint64(1))  # all ones where bit i is set
-        acc = _fold(_fold(np.bitwise_xor.reduce(shifted & take, axis=1))) ^ np.uint64(c)
+        acc = gf_mul(acc, xs) ^ c
     return acc.tolist()
 
 
@@ -205,16 +190,5 @@ def lagrange_interpolate(points: Sequence[tuple[int, int]], degree: int) -> list
     return result
 
 
-def _clmul(a: int, b: int) -> int:
-    """Carry-less (GF(2)[x]) product of two bit-packed polynomials."""
-    p = 0
-    while a:
-        if a & 1:
-            p ^= b
-        a >>= 1
-        b <<= 1
-    return p
-
-
 # t * x^32 = t * (x^7 + x^3 + x^2 + 1), 11 bits at most, for the 4 bits t _tmul shifts out.
-_FOLD = tuple(_clmul(t, REDUCTION_POLYNOMIAL & FIELD_MASK) for t in range(16))
+_FOLD = tuple(gf_mul(t, REDUCTION_POLYNOMIAL & FIELD_MASK) for t in range(16))

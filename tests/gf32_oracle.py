@@ -1,18 +1,17 @@
 """Reference code for gf32: the reduction polynomial search, the
-shift-and-xor multiply and the scalar interpolator.
+shift-and-xor multiply, a Fermat inverse and the scalar interpolator.
 
 gf32 pins REDUCTION_POLYNOMIAL as a constant; find_irreducible walks monic
 degree-d polynomials in increasing integer encoding order and returns the
 first one that passes Rabin's irreducibility test, so the tests can
 re-derive the constant and check the test itself against trial division.
 gf_mul is the shift-and-xor multiply the bit-sliced one in gf32 must agree
-with, and lagrange_interpolate, built on it, the interpolator the
-power-sum one in gf32 must agree with bit for bit.
+with, gf_inv the inverse gf32's extended Euclidean one must agree with, and
+lagrange_interpolate, built on both, the interpolator the power-sum one in
+gf32 must agree with bit for bit.  None of them calls gf32's arithmetic.
 """
 
-from fuzzyvault.gf32 import (
-    REDUCTION_POLYNOMIAL, ArityMismatch, DuplicateAbscissa, _clmul, gf_inv,
-)
+from fuzzyvault.gf32 import REDUCTION_POLYNOMIAL, ArityMismatch, DuplicateAbscissa
 
 
 def gf_mul(a: int, b: int) -> int:
@@ -26,6 +25,29 @@ def gf_mul(a: int, b: int) -> int:
         a <<= 1
         if a & (1 << 32):
             a ^= REDUCTION_POLYNOMIAL
+    return p
+
+
+def gf_inv(a: int) -> int:
+    """a^(2^32 - 2), the inverse of a nonzero a by Fermat's little theorem,
+    squared and multiplied with the shift-and-xor gf_mul."""
+    result, e = 1, (1 << 32) - 2
+    while e:
+        if e & 1:
+            result = gf_mul(result, a)
+        a = gf_mul(a, a)
+        e >>= 1
+    return result
+
+
+def _clmul(a: int, b: int) -> int:
+    """Carry-less (GF(2)[x]) product of two bit-packed polynomials."""
+    p = 0
+    while a:
+        if a & 1:
+            p ^= b
+        a >>= 1
+        b <<= 1
     return p
 
 
@@ -98,7 +120,7 @@ def lagrange_interpolate(points, degree):
     """The scalar interpolator gf32 shipped before its nibble tables.
 
     Every multiply is a shift-and-xor gf_mul and every denominator gets
-    its own gf_inv; gf32.lagrange_interpolate must return the same
+    its own Fermat gf_inv; gf32.lagrange_interpolate must return the same
     coefficients and raise the same errors.
     """
     k = degree + 1

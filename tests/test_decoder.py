@@ -16,7 +16,6 @@ from fuzzyvault import decoder
 from fuzzyvault.aligner import MatchParams
 from fuzzyvault.decoder import (
     ArityError,
-    CapacityError,
     DEFAULT_STRATEGY,
     ITERATIVE_SELECTION,
     RANDOM_GENERATION,
@@ -59,11 +58,15 @@ def test_random_generation_covers_all_subsets():
     assert sorted(got, key=key) == sorted(itertools.combinations(pts, 3), key=key)
 
 
-def test_random_generation_capacity_error():
+def test_random_generation_capacity_error(monkeypatch):
+    # past the budget, the strongest prefix that fits it is shuffled whole
+    monkeypatch.setattr(decoder, "SUBSET_BUDGET", 100)
     pts = [VaultPoint(i, 0) for i in range(30)]
-    assert math.comb(30, 9) > decoder.SUBSET_BUDGET  # 14.3M, refused before materializing
-    with pytest.raises(CapacityError):
-        generate_subsets(pts, 9, SubsetStrategy(RANDOM_GENERATION), random.Random(2))
+    assert math.comb(9, 3) <= 100 < math.comb(10, 3)
+    got_rng, want_rng = random.Random(2), random.Random(2)
+    got = list(generate_subsets(pts, 3, SubsetStrategy(RANDOM_GENERATION), got_rng))
+    assert got == reference_subsets(pts[:9], 3, RANDOM_GENERATION, None, want_rng)
+    assert got_rng.getstate() == want_rng.getstate()
 
 
 def test_random_selection_draw_count_and_cap():
@@ -299,12 +302,9 @@ def oracle_case(name, seed=0):
 
 
 def outcome(decode, vault, probe, params, strategy):
-    """MatchResult without its timing, or the error raised, and the rng state after."""
+    """MatchResult without its timing, and the rng state after."""
     rng = random.Random(404)
-    try:
-        res = dataclasses.replace(decode(vault, probe, params, strategy, rng), elapsed_seconds=0.0)
-    except CapacityError as exc:
-        res = repr(exc)
+    res = dataclasses.replace(decode(vault, probe, params, strategy, rng), elapsed_seconds=0.0)
     return res, rng.getstate()
 
 
@@ -321,7 +321,7 @@ def test_decode_matches_decoder_oracle(name, strategy):
         res = got[0]
         if kind == "impostor":
             assert not res.matched and res.bases_tried > 0
-        elif not isinstance(res, str):  # random-generation may refuse a large set
+        else:
             assert res.matched and res.secret == secret, kind
 
 

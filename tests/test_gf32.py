@@ -1,12 +1,15 @@
 """Field arithmetic checked against independent schoolbook oracles."""
 
+import itertools
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from fuzzyvault import gf32
 from gf32_oracle import _is_irreducible, find_irreducible, gf_mul as shift_xor_mul
+from gf32_oracle import gf_inv as fermat_inv
 from gf32_oracle import lagrange_interpolate as scalar_interpolate
 
 
@@ -106,15 +109,26 @@ def test_field_axioms_randomized():
         assert gf32.gf_mul(gf32.gf_mul(a, b), c) == gf32.gf_mul(a, gf32.gf_mul(b, c))
 
 
+_CLASS_MASKS = [0x11111111, 0x22222222, 0x44444444, 0x88888888]
+
+
 def test_inverse():
     rng = random.Random(303)
     assert gf32.gf_inv(1) == 1
+    for a in [1, 2, 0x80000000, 0xFFFFFFFF, *_CLASS_MASKS]:
+        assert gf32.gf_inv(a) == fermat_inv(a)
     for _ in range(500):
         a = rng.getrandbits(32) or 1
         inv = gf32.gf_inv(a)
         assert gf32.gf_mul(a, inv) == 1
     with pytest.raises(gf32.ZeroInverse):
         gf32.gf_inv(0)
+
+
+@settings(max_examples=300, deadline=None)
+@given(a=st.integers(1, 0xFFFFFFFF))
+def test_inverse_matches_fermat_oracle(a):
+    assert gf32.gf_inv(a) == fermat_inv(a)
 
 
 def test_poly_eval_basics():
@@ -151,6 +165,20 @@ def test_poly_eval_many_matches_scalar(coeffs, xs):
     got = gf32.poly_eval_many(coeffs, xs)
     assert got == [gf32.poly_eval(coeffs, x) for x in xs]
     assert all(type(y) is int for y in got)
+    assert gf32.poly_eval_many(coeffs, []) == []
+
+
+@settings(max_examples=200, deadline=None)
+@given(pairs=st.lists(st.tuples(_elements, _elements), max_size=40))
+def test_gf_mul_on_arrays_matches_scalar(pairs):
+    # class mask x class mask and 2^32 - 1 pairs form gf_mul's largest
+    # products, so they test its headroom in 64 bits
+    widest = _CLASS_MASKS + [0xFFFFFFFF]
+    pairs += itertools.product(widest, widest)
+    a, b = (np.array(v, dtype=np.uint64) for v in zip(*pairs))
+    got = gf32.gf_mul(a, b)
+    assert got.dtype == np.uint64
+    assert got.tolist() == [gf32.gf_mul(x, y) for x, y in pairs]
 
 
 def test_interpolate_constant():
