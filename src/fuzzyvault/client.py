@@ -6,8 +6,8 @@ moment they are no longer needed: after the store acknowledges an
 enrollment, and after a verification reaches a decision.  A probe is
 deleted only when verify returns or raises UnknownUser; every other
 exception (a transport or storage failure, a probe too sparse to
-decode, a strategy past its budget) is no decision, so the file
-survives it and the operation can be retried.
+decode) is no decision, so the file survives it and the operation can
+be retried.
 """
 
 from __future__ import annotations

@@ -20,6 +20,7 @@ from __future__ import annotations
 import itertools
 import math
 import time
+from array import array
 from dataclasses import dataclass
 from random import Random
 from typing import Iterable, Iterator, Sequence
@@ -53,8 +54,8 @@ class SubsetStrategy:
     """How candidate subsets are enumerated for interpolation.
 
     iterative-selection walks all combinations lexicographically
-    (deterministic, exhaustive); random-generation materializes and
-    shuffles them (exhaustive up to SUBSET_BUDGET); random-selection draws
+    (deterministic, exhaustive); random-generation shuffles their ranks,
+    unranked as reached (exhaustive up to SUBSET_BUDGET); random-selection draws
     subsets uniformly at random, repeats allowed, capped by
     iteration_cap, which defaults to DEFAULT_ITERATION_CAP for it and
     to no cap for the exhaustive variants.
@@ -107,11 +108,23 @@ def generate_subsets(
     elif strategy.variant == RANDOM_GENERATION:
         while math.comb(m, size) > SUBSET_BUDGET:
             m -= 1
-        stream = list(itertools.combinations(candidates[:m], size))
-        rng.shuffle(stream)
+        ranks = array("I", range(math.comb(m, size)))
+        rng.shuffle(ranks)  # its draws depend only on the length: as if shuffling the subsets
+        stream = (_unrank(candidates, m, size, rank) for rank in ranks)
     else:
         stream = (tuple(rng.sample(candidates, size)) for _ in range(math.comb(m, size)))
     return itertools.islice(stream, strategy.iteration_cap)
+
+
+def _unrank(pool: Sequence[VaultPoint], m: int, size: int, rank: int) -> tuple[VaultPoint, ...]:
+    """The rank-th size-subset of pool[:m] in itertools.combinations order."""
+    subset, first = [], 0
+    for left in range(size - 1, -1, -1):
+        while rank >= (count := math.comb(m - first - 1, left)):  # pool[first] leads count subsets
+            rank, first = rank - count, first + 1
+        subset.append(pool[first])
+        first += 1
+    return tuple(subset)
 
 
 def try_unlock(subset: Sequence[VaultPoint], degree: int) -> bytes | None:

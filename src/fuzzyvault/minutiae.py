@@ -19,12 +19,11 @@ import numpy as np
 
 COORD_MAX = 2047  # 11 bits for each coordinate
 THETA_STEPS = 1024  # 10 bits for orientation
-
-_X_SHIFT = 21
-_Y_SHIFT = 10
+X_SHIFT, Y_SHIFT = 21, 10  # bit offsets of x and y in a packed minutia
 _THETA_MASK = THETA_STEPS - 1
 
-CHAFF_ATTEMPTS = 10_000  # rejection draws place_spaced allows per minutia
+CHAFF_ATTEMPTS = 10_000  # rejection draws place_spaced allows per point
+_STRIDE = 1 << 32  # spacing cell (i, j) has key i * _STRIDE + j; no coordinate reaches it
 
 
 class ParseError(ValueError):
@@ -124,53 +123,57 @@ class _SpacingGrid:
 
     def __init__(self, distance: float, placed: Sequence[Minutia] = ()):
         self._d2 = distance * distance
-        # inf and NaN reject every pair (d2 is inf, or compares False) and
-        # ceil refuses them: edge 0 keeps every point in one cell
-        self._edge = max(1, math.ceil(abs(distance))) if math.isfinite(distance) else 0
-        self._cells: dict[tuple[int, int], list[tuple[int, int]]] = {}
+        # inf and NaN reject every pair (d2 is inf, or compares False): one cell holds all
+        self._edge = max(1, math.ceil(abs(distance))) if math.isfinite(distance) else _STRIDE
+        self._cells: dict[int, list[tuple[int, int]]] = {}
         for m in placed:
             self.add(m.x, m.y)
 
-    def _cell(self, x: int, y: int) -> tuple[int, int]:
-        return (x // self._edge, y // self._edge) if self._edge else (0, 0)
-
     def spaced(self, x: int, y: int) -> bool:
-        cx, cy = self._cell(x, y)
-        d2, cells = self._d2, self._cells
-        for i in (cx - 1, cx, cx + 1):
-            for j in (cy - 1, cy, cy + 1):
-                for px, py in cells.get((i, j), ()):
-                    if not (x - px) ** 2 + (y - py) ** 2 >= d2:  # not <: NaN rejects
-                        return False
+        edge, d2, cells = self._edge, self._d2, self._cells
+        key = x // edge * _STRIDE + y // edge
+        for row in (key - _STRIDE, key, key + _STRIDE):
+            for k in (row - 1, row, row + 1):
+                if k in cells:
+                    for px, py in cells[k]:
+                        if not (x - px) ** 2 + (y - py) ** 2 >= d2:  # not <: NaN rejects
+                            return False
         return True
 
     def add(self, x: int, y: int) -> None:
-        self._cells.setdefault(self._cell(x, y), []).append((x, y))
+        self._cells.setdefault(x // self._edge * _STRIDE + y // self._edge, []).append((x, y))
 
 
 def place_spaced(what: str, count: int, width: int, height: int, distance: float, rng: Random,
-                 finish: Callable[[int, int], Minutia | None],
-                 around: Sequence[Minutia] = ()) -> list[Minutia]:
-    """Place ``count`` minutiae, named ``what`` in errors, by rejection sampling.
+                 finish: Callable[[int, int], object], around: Sequence[Minutia] = ()) -> list:
+    """Place ``count`` points, named ``what`` in errors, by rejection sampling.
 
-    A draw x = rng.randrange(width), y = rng.randrange(height) is rejected
-    unless spaced from ``around`` and every minutia placed before it;
-    ``finish(x, y)`` then draws the rest of the minutia from the same rng
-    and returns it, or None to reject the draw.  Raises ChaffExhausted
-    when a minutia finds no admissible draw in CHAFF_ATTEMPTS.
+    x and y are drawn as rng.randrange(width), rng.randrange(height) draw them
+    (ValueError on an empty range) and rejected unless spaced from ``around``
+    and every point placed before; ``finish(x, y)`` then draws the rest of the
+    point from the same rng and returns it, or None to reject it.  Raises
+    ChaffExhausted when a point finds no admissible draw in CHAFF_ATTEMPTS.
     """
+    if width < 1 or height < 1:
+        raise ValueError(f"empty range for {what} coordinates in {width}x{height}")
     grid = _SpacingGrid(distance, around)
-    placed: list[Minutia] = []
+    getrandbits, kx, ky = rng.getrandbits, width.bit_length(), height.bit_length()
+    placed = []
     for i in range(count):
         for _ in range(CHAFF_ATTEMPTS):
-            x, y = rng.randrange(width), rng.randrange(height)
-            if grid.spaced(x, y) and (m := finish(x, y)) is not None:
+            x = getrandbits(kx)
+            while x >= width:
+                x = getrandbits(kx)
+            y = getrandbits(ky)
+            while y >= height:
+                y = getrandbits(ky)
+            if grid.spaced(x, y) and (p := finish(x, y)) is not None:
                 break
         else:
             raise ChaffExhausted(f"cannot place {what} {i + 1} of {count} {distance:g} px apart "
                                  f"in {width}x{height} within {CHAFF_ATTEMPTS} draws")
         grid.add(x, y)
-        placed.append(m)
+        placed.append(p)
     return placed
 
 
@@ -211,14 +214,14 @@ def encode_minutia(m: Minutia) -> int:
     if not 0 <= m.theta < 360:
         raise OutOfBounds(f"theta {m.theta} outside [0, 360)")
     theta_q = int(m.theta * THETA_STEPS / 360)
-    return (m.x << _X_SHIFT) | (m.y << _Y_SHIFT) | theta_q
+    return (m.x << X_SHIFT) | (m.y << Y_SHIFT) | theta_q
 
 
 def decode_minutia(rep: int) -> Minutia:
     """Inverse of encode_minutia up to orientation quantization; quality is 0."""
     return Minutia(
-        x=(rep >> _X_SHIFT) & COORD_MAX,
-        y=(rep >> _Y_SHIFT) & COORD_MAX,
+        x=(rep >> X_SHIFT) & COORD_MAX,
+        y=(rep >> Y_SHIFT) & COORD_MAX,
         theta=(rep & _THETA_MASK) * 360.0 / THETA_STEPS,
     )
 
@@ -231,7 +234,7 @@ def decode_minutiae(words: Sequence[int]) -> np.ndarray:
     """
     w = np.asarray(words, dtype=np.int64)
     return np.stack([
-        (w >> _X_SHIFT) & COORD_MAX,
-        (w >> _Y_SHIFT) & COORD_MAX,
+        (w >> X_SHIFT) & COORD_MAX,
+        (w >> Y_SHIFT) & COORD_MAX,
         (w & _THETA_MASK) * 360.0 / THETA_STEPS,
     ], axis=1)

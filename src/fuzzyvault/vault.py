@@ -17,8 +17,8 @@ from random import Random
 from typing import Sequence
 
 from . import gf32
-from .minutiae import (COORD_MAX, InsufficientMinutiae, Minutia, Template, encode_minutia,
-                       place_spaced, select_minutiae)
+from .minutiae import (COORD_MAX, THETA_STEPS, X_SHIFT, Y_SHIFT, InsufficientMinutiae, Minutia,
+                       Template, encode_minutia, place_spaced, select_minutiae)
 
 WORD_BITS = 32
 _WORD_LIMIT = 1 << WORD_BITS
@@ -118,13 +118,13 @@ def secret_from_polynomial(coefficients: Sequence[int]) -> bytes | None:
     return body
 
 
-def generate_chaff(genuine: Sequence[Minutia], params: VaultParams, rng: Random) -> list[Minutia]:
-    """Draw chaff minutiae that blend in with the genuine ones.
+def generate_chaff(genuine: Sequence[Minutia], params: VaultParams, rng: Random) -> list[int]:
+    """Draw chaff points that blend in with the genuine minutiae; their words.
 
-    Each chaff point is placed by place_spaced (uniform in-bounds, spaced
-    from every vault minutia placed before it), encodes to a word at least
-    half the smallest genuine encoding (so chaff cannot be skimmed off the
-    bottom of the X range), and never collides with another vault encoding.
+    place_spaced puts each point in bounds, spaced from every vault minutia
+    placed before it; its word packs theta = 360 * random() = uniform(0, 360)
+    as encode_minutia would, is at least half the smallest genuine word (so
+    chaff cannot be skimmed off the bottom of the X range) and repeats none.
 
     Raises:
         ChaffExhausted: a point failed CHAFF_ATTEMPTS rejection draws.
@@ -132,14 +132,13 @@ def generate_chaff(genuine: Sequence[Minutia], params: VaultParams, rng: Random)
     if not genuine:
         raise ValueError("genuine minutiae required before placing chaff")
     reps = {encode_minutia(m) for m in genuine}
-    min_rep = min(reps)
+    min_rep, random = min(reps), rng.random
 
-    def finish(x: int, y: int) -> Minutia | None:
-        m = Minutia(x, y, rng.uniform(0.0, 360.0) % 360.0)
-        rep = encode_minutia(m)
+    def finish(x: int, y: int) -> int | None:
+        rep = (x << X_SHIFT) | (y << Y_SHIFT) | int(360.0 * random() * THETA_STEPS / 360)
         if 2 * rep >= min_rep and rep not in reps:
             reps.add(rep)
-            return m
+            return rep
         return None  # below the X floor or a collision
 
     return place_spaced("chaff point", params.chaff_count, params.width, params.height,
@@ -165,7 +164,7 @@ def encode_vault(template: Template, params: VaultParams, rng: Random) -> tuple[
 
     secret = generate_secret(params.degree, rng)
     coeffs = secret_polynomial(secret, params.degree)
-    c_reps = [encode_minutia(m) for m in generate_chaff(genuine, params, rng)]
+    c_reps = generate_chaff(genuine, params, rng)
     # chaff placement ends before the first Y draw, so one projection of
     # every point leaves the rng stream as drawing point by point would
     on_curve = gf32.poly_eval_many(coeffs, g_reps + c_reps)

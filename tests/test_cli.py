@@ -330,7 +330,7 @@ def assert_one_error_line(result, reason):
     assert "Traceback" not in result.output
 
 
-def test_verify_past_the_subset_budget_exits_two(runner, tmp_path, monkeypatch):
+def test_verify_past_the_subset_budget_accepts(runner, tmp_path, monkeypatch):
     # the genuine finger's candidate sets are past the budget, and it is still accepted
     monkeypatch.setattr(decoder, "SUBSET_BUDGET", 1000)
     template_path = tmp_path / "f.xyt"
@@ -346,7 +346,7 @@ def test_verify_past_the_subset_budget_exits_two(runner, tmp_path, monkeypatch):
     assert json.loads(result.stdout)["secret"] == secret_hex
 
 
-def test_auth_past_the_subset_budget_exits_two_and_keeps_probe(runner, tmp_path, monkeypatch):
+def test_auth_past_the_subset_budget_accepts_and_deletes_probe(runner, tmp_path, monkeypatch):
     monkeypatch.setattr(decoder, "SUBSET_BUDGET", 1000)
     svc = VaultStoreService(FileVaultStore(tmp_path / "vaults"), port=0)
     with svc:

@@ -58,7 +58,7 @@ def test_random_generation_covers_all_subsets():
     assert sorted(got, key=key) == sorted(itertools.combinations(pts, 3), key=key)
 
 
-def test_random_generation_capacity_error(monkeypatch):
+def test_random_generation_past_budget_shuffles_strongest_prefix(monkeypatch):
     # past the budget, the strongest prefix that fits it is shuffled whole
     monkeypatch.setattr(decoder, "SUBSET_BUDGET", 100)
     pts = [VaultPoint(i, 0) for i in range(30)]
@@ -67,6 +67,20 @@ def test_random_generation_capacity_error(monkeypatch):
     got = list(generate_subsets(pts, 3, SubsetStrategy(RANDOM_GENERATION), got_rng))
     assert got == reference_subsets(pts[:9], 3, RANDOM_GENERATION, None, want_rng)
     assert got_rng.getstate() == want_rng.getstate()
+
+
+def test_random_generation_builds_subsets_as_reached():
+    # C(31, 9) is past the budget, so the 817,190 subsets of the first 23
+    # are shuffled: as ranks, 4 bytes each, not as tuples of points
+    pts = [VaultPoint(i, 0) for i in range(31)]
+    tracemalloc.start()
+    try:
+        first = next(generate_subsets(pts, 9, SubsetStrategy(RANDOM_GENERATION), random.Random(6)))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(first) == 9 and set(first) <= set(pts[:23])
+    assert peak < 8 * 2**20
 
 
 def test_random_selection_draw_count_and_cap():

@@ -8,12 +8,13 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import placement_oracle as oracle
-from fuzzyvault.evaluation import synth_template
+from fuzzyvault.evaluation import BUILTIN_CONFIGS, synth_template
 from fuzzyvault.minutiae import (
     ChaffExhausted,
     InsufficientMinutiae,
     Minutia,
     Template,
+    encode_minutia,
     select_minutiae,
 )
 from fuzzyvault.vault import VaultParams, encode_vault, generate_chaff
@@ -71,12 +72,17 @@ def test_select_minutiae_matches_oracle(template, pd):
        seed=st.integers(0, 2**32))
 def test_generate_chaff_matches_oracle(template, chaff, pd, seed):
     # c = 0, full images and pd past the diagonal all occur; exhaustion must
-    # come at the same draw, so the rng states after it agree too
+    # come at the same draw, so the rng states after it agree too; only a
+    # chaff point's word reaches a vault, so the oracle's are compared encoded
     params = VaultParams(1, 2, chaff, pd, template.width, template.height)
     genuine = list(template.minutiae)
     rng, ref_rng = random.Random(seed), random.Random(seed)
+
+    def oracle_words(*args):
+        return [encode_minutia(m) for m in oracle.generate_chaff(*args)]
+
     assert (_outcome(generate_chaff, rng, genuine, params, rng)
-            == _outcome(oracle.generate_chaff, ref_rng, genuine, params, ref_rng))
+            == _outcome(oracle_words, ref_rng, genuine, params, ref_rng))
 
 
 @st.composite
@@ -121,7 +127,29 @@ def test_synth_template_matches_oracle(seed, count, width, height):
     assert got == oracle.synth_template(seed, count, width, height)
 
 
+@pytest.mark.parametrize("config", ["fvc-1", "fvc-5"])
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_full_size_encode_vault_matches_oracle(config, seed):
+    # 400x560 images draw 9- and 10-bit coordinates with rejections, into a
+    # grid of real size; the oracle draws through randrange itself
+    template, params = synth_template(seed, 60), BUILTIN_CONFIGS[config].vault_params()
+    rng, ref_rng = random.Random(seed), random.Random(seed)
+    assert (_outcome(encode_vault, rng, template, params, rng)
+            == _outcome(oracle.encode_vault, ref_rng, template, params, ref_rng))
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2, 2**63])
+def test_full_size_synth_template_matches_oracle(seed):
+    assert synth_template(seed, 60) == oracle.synth_template(seed, 60)
+
+
 def test_synth_template_fails_typed_on_impossible_shape():
     with pytest.raises(ChaffExhausted, match="synthetic minutia 2 of 4 8 px apart in 3x3"):
         synth_template(5, 4, 3, 3)
 
+
+@pytest.mark.parametrize("width, height", [(0, 10), (10, 0), (-3, 10)])
+def test_synth_template_refuses_an_empty_image(width, height):
+    # randrange refuses an empty range; the draws taken as it takes them must too
+    with pytest.raises(ValueError):
+        synth_template(5, 4, width, height)

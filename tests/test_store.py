@@ -632,28 +632,32 @@ def test_client_unknown_user(tmp_path, live):
     assert not probe_path.exists()  # unknown user is still a decision
 
 
-@pytest.mark.parametrize("probe_minutiae, strategy, error", [
-    (20, ITERATIVE, InsufficientMinutiae),  # fewer than fvc-1's genuine_count of 30
-    # C(31, 9) subsets, past the real budget: the strongest 23 candidates still decide
-    (60, SubsetStrategy(RANDOM_GENERATION), None),
-], ids=["sparse-probe", "past-budget"])
-def test_client_keeps_probe_when_decoding_raises(tmp_path, live, probe_minutiae, strategy, error):
-    params = CONFIG1.vault_params()
+def _enroll_lena_and_write_probe(tmp_path, live, probe_minutiae):
     enroll_path = tmp_path / "enroll.xyt"
     write_template(enroll_path, synth_template(5, 60))
-    enroll(enroll_path, "lena", live.url, params, random.Random(1))
-
+    enroll(enroll_path, "lena", live.url, CONFIG1.vault_params(), random.Random(1))
     probe_path = tmp_path / "probe.xyt"
     write_template(probe_path, synth_template(5, probe_minutiae))
-    args = (probe_path, "lena", live.url, params, CONFIG1.match_params(), strategy,
-            random.Random(2))
-    if error is None:
-        assert verify(*args)
-        assert not probe_path.exists()  # a decision destroys the probe
-        return
+    return probe_path
+
+
+@pytest.mark.parametrize("probe_minutiae, strategy, error", [
+    (20, ITERATIVE, InsufficientMinutiae),  # fewer than fvc-1's genuine_count of 30
+], ids=["sparse-probe"])
+def test_client_keeps_probe_when_decoding_raises(tmp_path, live, probe_minutiae, strategy, error):
+    probe_path = _enroll_lena_and_write_probe(tmp_path, live, probe_minutiae)
     with pytest.raises(error):
-        verify(*args)
+        verify(probe_path, "lena", live.url, CONFIG1.vault_params(), CONFIG1.match_params(),
+               strategy, random.Random(2))
     assert probe_path.exists()  # a fault while decoding is no decision
+
+
+def test_client_past_the_subset_budget_accepts_and_deletes_probe(tmp_path, live):
+    # C(31, 9) subsets, past the real budget: the strongest 23 candidates still decide
+    probe_path = _enroll_lena_and_write_probe(tmp_path, live, 60)
+    assert verify(probe_path, "lena", live.url, CONFIG1.vault_params(), CONFIG1.match_params(),
+                  SubsetStrategy(RANDOM_GENERATION), random.Random(2))
+    assert not probe_path.exists()  # a decision destroys the probe
 
 
 def test_client_keeps_probe_when_vault_config_mismatches(tmp_path, live):
