@@ -24,10 +24,8 @@ from .minutiae import read_template
 from .store import (
     DocumentInvalid,
     StorageUnavailable,
-    VaultDocument,
     document_from_dict,
     document_from_vault,
-    document_to_dict,
     vault_from_document,
 )
 from .vault import VaultParams, encode_vault
@@ -82,7 +80,7 @@ def _request(method: str, server_url: str, expected: int, query: str = "",
     return reply
 
 
-def _get_vaults(server_url: str, user_id: str) -> tuple[list[VaultDocument], int]:
+def _get_vaults(server_url: str, user_id: str) -> tuple[list[dict], int]:
     """The user's readable vault documents and the count of unreadable ones."""
     body = _request("GET", server_url, 200, urlencode({"user_id": user_id}))
     vaults = body.get("vaults", [])
@@ -91,8 +89,15 @@ def _get_vaults(server_url: str, user_id: str) -> tuple[list[VaultDocument], int
     unreadable = body.get("unreadable", 0)
     if not isinstance(unreadable, int) or isinstance(unreadable, bool) or unreadable < 0:
         raise StorageUnavailable(f"vault store sent a bad unreadable count {unreadable!r}")
-    # validate everything that came over the wire before trusting it
-    return [document_from_dict(d, require_id=True) for d in vaults], unreadable
+    # validate everything that came over the wire before trusting it; a 200
+    # reply with a bad document, or another user's, is the store's fault
+    try:
+        docs = [document_from_dict(d, require_id=True) for d in vaults]
+    except DocumentInvalid as exc:
+        raise StorageUnavailable(f"vault store sent a bad vault document: {exc}") from None
+    if any(doc["user_id"] != user_id for doc in docs):
+        raise StorageUnavailable(f"vault store sent a vault not filed under {user_id!r}")
+    return docs, unreadable
 
 
 def enroll(
@@ -114,8 +119,7 @@ def enroll(
     template_path = Path(template_path)
     template = read_template(template_path, params.width, params.height)
     vault, secret = encode_vault(template, params, rng)
-    payload = document_to_dict(document_from_vault(vault, user_id))
-    body = _request("POST", server_url, 201, payload=payload)
+    body = _request("POST", server_url, 201, payload=document_from_vault(vault, user_id))
     object_id = body.get("object_id")
     if not isinstance(object_id, str) or not object_id:
         raise StorageUnavailable(f"enrollment not acknowledged (object id {object_id!r})")

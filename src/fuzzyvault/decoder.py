@@ -134,7 +134,7 @@ def try_unlock(subset: Sequence[VaultPoint], degree: int) -> bytes | None:
     so they are dismissed as negatives: interpolation refuses them.
     """
     try:
-        return secret_from_polynomial(gf32.lagrange_interpolate([(p.X, p.Y) for p in subset], degree))
+        return secret_from_polynomial(gf32.lagrange_interpolate(subset, degree))
     except gf32.DuplicateAbscissa:
         return None
 

@@ -19,7 +19,7 @@ import numpy as np
 
 COORD_MAX = 2047  # 11 bits for each coordinate
 THETA_STEPS = 1024  # 10 bits for orientation
-X_SHIFT, Y_SHIFT = 21, 10  # bit offsets of x and y in a packed minutia
+_X_SHIFT, _Y_SHIFT = 21, 10  # bit offsets of x and y in a packed minutia
 _THETA_MASK = THETA_STEPS - 1
 
 CHAFF_ATTEMPTS = 10_000  # rejection draws place_spaced allows per point
@@ -213,15 +213,19 @@ def encode_minutia(m: Minutia) -> int:
         raise OutOfBounds(f"({m.x}, {m.y}) exceeds the 11-bit coordinate range")
     if not 0 <= m.theta < 360:
         raise OutOfBounds(f"theta {m.theta} outside [0, 360)")
-    theta_q = int(m.theta * THETA_STEPS / 360)
-    return (m.x << X_SHIFT) | (m.y << Y_SHIFT) | theta_q
+    return pack_minutia(m.x, m.y, m.theta)
+
+
+def pack_minutia(x: int, y: int, theta: float) -> int:
+    """encode_minutia without its checks, for x, y in [0, 2047] and theta in [0, 360)."""
+    return (x << _X_SHIFT) | (y << _Y_SHIFT) | int(theta * THETA_STEPS / 360)
 
 
 def decode_minutia(rep: int) -> Minutia:
     """Inverse of encode_minutia up to orientation quantization; quality is 0."""
     return Minutia(
-        x=(rep >> X_SHIFT) & COORD_MAX,
-        y=(rep >> Y_SHIFT) & COORD_MAX,
+        x=(rep >> _X_SHIFT) & COORD_MAX,
+        y=(rep >> _Y_SHIFT) & COORD_MAX,
         theta=(rep & _THETA_MASK) * 360.0 / THETA_STEPS,
     )
 
@@ -234,7 +238,7 @@ def decode_minutiae(words: Sequence[int]) -> np.ndarray:
     """
     w = np.asarray(words, dtype=np.int64)
     return np.stack([
-        (w >> X_SHIFT) & COORD_MAX,
-        (w >> Y_SHIFT) & COORD_MAX,
+        (w >> _X_SHIFT) & COORD_MAX,
+        (w >> _Y_SHIFT) & COORD_MAX,
         (w & _THETA_MASK) * 360.0 / THETA_STEPS,
     ], axis=1)

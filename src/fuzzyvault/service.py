@@ -34,7 +34,6 @@ from .store import (
     StorageUnavailable,
     UnreadableVaults,
     document_from_dict,
-    document_to_dict,
 )
 
 _MAX_BODY = 8 << 20  # bytes; a vault document is a few KB
@@ -72,17 +71,12 @@ class VaultStoreService:
                 logged["user_id"] = user_ids[0] if user_ids else None
                 if len(user_ids) != 1:
                     raise DocumentInvalid("exactly one user_id is required")
-                unreadable = 0
                 try:
-                    docs = service.store.fetch(user_ids[0])
+                    return 200, {"vaults": service.store.fetch(user_ids[0])}
                 except UnreadableVaults as exc:
                     if not exc.readable:
                         raise  # nothing to serve: a plain server fault
-                    docs, unreadable = exc.readable, exc.unreadable
-                payload = {"vaults": [document_to_dict(d) for d in docs]}
-                if unreadable:
-                    payload["unreadable"] = unreadable
-                return 200, payload
+                    return 200, {"vaults": exc.readable, "unreadable": exc.unreadable}
 
             def post_vault(self, query: str, logged: dict) -> tuple[int, dict]:
                 # ASCII digits, few enough for int(), which alone also takes "+10" and "1_0"

@@ -4,7 +4,8 @@ A stored vault is deliberately skeletal: an object id, the owning user
 id, the polynomial degree and the (X, Y) point list.  Nothing else is
 accepted, because anything else risks leaking template or secret
 material onto a host we treat as untrusted.  validate_document_dict is
-the single gate both the wire format and the at-rest format must pass.
+the single gate both the wire format and the at-rest format must pass,
+and in process a document is the JSON object (a dict) that passed it.
 """
 
 from __future__ import annotations
@@ -14,7 +15,6 @@ import os
 import re
 import threading
 import uuid
-from dataclasses import dataclass
 from pathlib import Path
 
 from .vault import (
@@ -24,7 +24,6 @@ from .vault import (
     check_integer,
     check_keys,
     check_point_pairs,
-    points_from_pairs,
 )
 
 _USER_ID_RE = re.compile(r"[A-Za-z0-9._-]{1,64}")
@@ -41,18 +40,10 @@ class StorageUnavailable(RuntimeError):
 class UnreadableVaults(StorageUnavailable):
     """Some of a user's stored vault files are corrupt; readable holds the others."""
 
-    def __init__(self, message: str, readable: list[VaultDocument], unreadable: int):
+    def __init__(self, message: str, readable: list[dict], unreadable: int):
         super().__init__(message)
         self.readable = readable
         self.unreadable = unreadable
-
-
-@dataclass(frozen=True)
-class VaultDocument:
-    object_id: str | None
-    user_id: str
-    degree: int
-    points: tuple[VaultPoint, ...]
 
 
 def check_user_id(user_id) -> None:
@@ -62,34 +53,24 @@ def check_user_id(user_id) -> None:
         raise DocumentInvalid("user_id must match [A-Za-z0-9._-]{1,64} and not be all dots")
 
 
-def document_from_vault(vault: Vault, user_id: str, object_id: str | None = None) -> VaultDocument:
-    return VaultDocument(object_id, user_id, vault.params.degree, vault.points)
+def document_from_vault(vault: Vault, user_id: str) -> dict:
+    """The wire document of a vault enrolled under user_id."""
+    return {"user_id": user_id, "n": vault.params.degree, "points": [[x, y] for x, y in vault.points]}
 
 
-def vault_from_document(doc: VaultDocument, params: VaultParams) -> Vault:
+def vault_from_document(doc: dict, params: VaultParams) -> Vault:
     """Rebuild a decodable Vault under the deployment's enrollment parameters.
 
     The document deliberately stores no parameters beyond the degree, so
     the verifier must know the enrollment configuration out of band.
     """
-    if doc.degree != params.degree:
-        raise DocumentInvalid(f"document degree {doc.degree} != configured {params.degree}")
-    if len(doc.points) != params.vault_size:
+    if doc["n"] != params.degree:
+        raise DocumentInvalid(f"document degree {doc['n']} != configured {params.degree}")
+    if len(doc["points"]) != params.vault_size:
         raise DocumentInvalid(
-            f"document has {len(doc.points)} points, configuration expects {params.vault_size}"
+            f"document has {len(doc['points'])} points, configuration expects {params.vault_size}"
         )
-    return Vault(params, doc.points)
-
-
-def document_to_dict(doc: VaultDocument) -> dict:
-    out = {
-        "user_id": doc.user_id,
-        "n": doc.degree,
-        "points": [[p.X, p.Y] for p in doc.points],
-    }
-    if doc.object_id is not None:
-        out = {"id": doc.object_id, **out}
-    return out
+    return Vault(params, tuple(map(VaultPoint._make, doc["points"])))
 
 
 def validate_document_dict(data, require_id: bool) -> None:
@@ -116,31 +97,32 @@ def validate_document_dict(data, require_id: bool) -> None:
         raise DocumentInvalid(f"need at least {n + 1} points for degree {n}")
 
 
-def document_from_dict(data, require_id: bool = True) -> VaultDocument:
+def document_from_dict(data, require_id: bool = True) -> dict:
+    """data itself, once validate_document_dict has passed it."""
     validate_document_dict(data, require_id)
-    points = points_from_pairs(data["points"])
-    return VaultDocument(data.get("id"), data["user_id"], data["n"], points)
+    return data
 
 
 class MemoryVaultStore:
-    """In-process store, mainly for tests and the demo server's --memory mode."""
+    """In-process store, mainly for tests and the demo server's --memory mode;
+    it keeps JSON text, so no caller can alter a stored document."""
 
     def __init__(self):
         self._lock = threading.Lock()
-        self._by_user: dict[str, list[VaultDocument]] = {}
+        self._by_user: dict[str, list[str]] = {}
 
-    def put(self, doc: VaultDocument) -> str:
-        validate_document_dict(document_to_dict(doc), require_id=doc.object_id is not None)
-        object_id = doc.object_id or uuid.uuid4().hex
-        stored = VaultDocument(object_id, doc.user_id, doc.degree, doc.points)
+    def put(self, doc: dict) -> str:
+        validate_document_dict(doc, require_id="id" in doc)
+        object_id = doc["id"] if "id" in doc else uuid.uuid4().hex
+        text = json.dumps({"id": object_id, **doc})
         with self._lock:
-            self._by_user.setdefault(doc.user_id, []).append(stored)
+            self._by_user.setdefault(doc["user_id"], []).append(text)
         return object_id
 
-    def fetch(self, user_id: str) -> list[VaultDocument]:
+    def fetch(self, user_id: str) -> list[dict]:
         check_user_id(user_id)
         with self._lock:
-            return list(self._by_user.get(user_id, []))
+            return [json.loads(text) for text in self._by_user.get(user_id, [])]
 
 
 class FileVaultStore:
@@ -166,14 +148,13 @@ class FileVaultStore:
         except OSError as exc:
             raise StorageUnavailable(f"cannot create store root {self.root}: {exc}") from exc
 
-    def put(self, doc: VaultDocument) -> str:
-        data = document_to_dict(doc)
-        validate_document_dict(data, require_id=doc.object_id is not None)
-        object_id = doc.object_id or uuid.uuid4().hex
+    def put(self, doc: dict) -> str:
+        validate_document_dict(doc, require_id="id" in doc)
+        object_id = doc["id"] if "id" in doc else uuid.uuid4().hex
         # compact JSON, which the C encoder writes (indent=2 forces the Python
         # one); files written indented still load
-        payload = json.dumps({"id": object_id, **data}, separators=(",", ":")).encode()
-        user_dir = self.root / doc.user_id
+        payload = json.dumps({"id": object_id, **doc}, separators=(",", ":")).encode()
+        user_dir = self.root / doc["user_id"]
         final = user_dir / f"{object_id}.json"
         tmp = user_dir / f".{uuid.uuid4().hex}.tmp"
         try:
@@ -187,7 +168,7 @@ class FileVaultStore:
             raise StorageUnavailable(f"cannot persist vault: {exc}") from exc
         return object_id
 
-    def fetch(self, user_id: str) -> list[VaultDocument]:
+    def fetch(self, user_id: str) -> list[dict]:
         check_user_id(user_id)
         user_dir = self.root / user_id
         if not user_dir.is_dir():

@@ -14,11 +14,11 @@ from __future__ import annotations
 import zlib
 from dataclasses import dataclass
 from random import Random
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from . import gf32
-from .minutiae import (COORD_MAX, THETA_STEPS, X_SHIFT, Y_SHIFT, InsufficientMinutiae, Minutia,
-                       Template, encode_minutia, place_spaced, select_minutiae)
+from .minutiae import (COORD_MAX, InsufficientMinutiae, Minutia, Template, encode_minutia,
+                       pack_minutia, place_spaced, select_minutiae)
 
 WORD_BITS = 32
 _WORD_LIMIT = 1 << WORD_BITS
@@ -55,8 +55,7 @@ class VaultParams:
         return self.genuine_count + self.chaff_count
 
 
-@dataclass(frozen=True)
-class VaultPoint:
+class VaultPoint(NamedTuple):
     """One (X, Y) vault pair: X an encoded minutia, Y a field element."""
 
     X: int
@@ -123,8 +122,8 @@ def generate_chaff(genuine: Sequence[Minutia], params: VaultParams, rng: Random)
 
     place_spaced puts each point in bounds, spaced from every vault minutia
     placed before it; its word packs theta = 360 * random() = uniform(0, 360)
-    as encode_minutia would, is at least half the smallest genuine word (so
-    chaff cannot be skimmed off the bottom of the X range) and repeats none.
+    through pack_minutia, is at least half the smallest genuine word (so chaff
+    cannot be skimmed off the bottom of the X range) and repeats none.
 
     Raises:
         ChaffExhausted: a point failed CHAFF_ATTEMPTS rejection draws.
@@ -135,7 +134,7 @@ def generate_chaff(genuine: Sequence[Minutia], params: VaultParams, rng: Random)
     min_rep, random = min(reps), rng.random
 
     def finish(x: int, y: int) -> int | None:
-        rep = (x << X_SHIFT) | (y << Y_SHIFT) | int(360.0 * random() * THETA_STEPS / 360)
+        rep = pack_minutia(x, y, 360.0 * random())
         if 2 * rep >= min_rep and rep not in reps:
             reps.add(rep)
             return rep
@@ -236,18 +235,6 @@ def check_point_pairs(pairs) -> None:
                 raise ValueError(f"points[{i}] coordinates must fit in {WORD_BITS} bits")
 
 
-def points_from_pairs(pairs) -> tuple[VaultPoint, ...]:
-    """VaultPoint(X, Y) for each pair that check_point_pairs passed, set
-    field by field as the frozen dataclass __init__ does, without its
-    Python call per point: a stored document has hundreds."""
-    points = tuple(map(object.__new__, [VaultPoint] * len(pairs)))
-    set_field = object.__setattr__
-    for point, (x, y) in zip(points, pairs):
-        set_field(point, "X", x)
-        set_field(point, "Y", y)
-    return points
-
-
 # Local vault file parameters, in file order: JSON key -> VaultParams field.
 _PARAM_KEYS = {
     "n": "degree",
@@ -290,7 +277,7 @@ def vault_from_dict(data) -> Vault:
         check_point_pairs(data["points"])
     except ValueError as exc:
         raise ValueError(f"malformed vault document: {exc}") from exc
-    points = points_from_pairs(data["points"])
+    points = tuple(map(VaultPoint._make, data["points"]))
     if len(points) != params.vault_size:
         raise ValueError(f"expected {params.vault_size} points, found {len(points)}")
     return Vault(params, points)

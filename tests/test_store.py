@@ -31,15 +31,13 @@ from fuzzyvault.store import (
     MemoryVaultStore,
     StorageUnavailable,
     UnreadableVaults,
-    VaultDocument,
     check_user_id,
     document_from_dict,
     document_from_vault,
-    document_to_dict,
     validate_document_dict,
     vault_from_document,
 )
-from fuzzyvault.vault import VaultParams, VaultPoint, encode_vault
+from fuzzyvault.vault import VaultParams, encode_vault
 
 ITERATIVE = SubsetStrategy(ITERATIVE_SELECTION)
 CONFIG1 = BUILTIN_CONFIGS["fvc-1"]
@@ -52,7 +50,8 @@ def small_params():
 def make_doc(user_id="alice", object_id=None, n=2, points=8):
     rng = random.Random(70)
     vault, _ = encode_vault(synth_template(70, 30), small_params(), rng)
-    return VaultDocument(object_id, user_id, n, vault.points[:points])
+    doc = {"user_id": user_id, "n": n, "points": [[x, y] for x, y in vault.points[:points]]}
+    return doc if object_id is None else {"id": object_id, **doc}
 
 
 def write_template(path, template):
@@ -65,12 +64,12 @@ def write_template(path, template):
 
 def test_document_dict_round_trip():
     doc = make_doc(object_id="abc123")
-    back = document_from_dict(document_to_dict(doc))
+    back = document_from_dict(json.loads(json.dumps(doc)))
     assert back == doc
 
 
 def test_wire_document_omits_id():
-    data = document_to_dict(make_doc())
+    data = make_doc()
     assert set(data) == {"user_id", "n", "points"}
     validate_document_dict(data, require_id=False)
     with pytest.raises(DocumentInvalid):
@@ -78,7 +77,7 @@ def test_wire_document_omits_id():
 
 
 def test_schema_rejects_surprise_keys():
-    data = document_to_dict(make_doc(object_id="x"))
+    data = make_doc(object_id="x")
     data["template"] = [[1, 2, 3]]  # the one thing that must never be stored
     with pytest.raises(DocumentInvalid, match="unexpected"):
         validate_document_dict(data, require_id=True)
@@ -86,7 +85,7 @@ def test_schema_rejects_surprise_keys():
 
 @pytest.mark.parametrize("user_id", ["", "a b", "x/../y", "u" * 65, 7, None, "..", ".", "bob\n"])
 def test_schema_rejects_bad_user_ids(user_id):
-    data = document_to_dict(make_doc(object_id="x"))
+    data = make_doc(object_id="x")
     data["user_id"] = user_id
     with pytest.raises(DocumentInvalid):
         validate_document_dict(data, require_id=True)
@@ -119,7 +118,7 @@ def test_schema_accepts_or_rejects_any_json_without_crashing(data, require_id):
 
 
 def test_schema_rejects_malformed_points():
-    base = document_to_dict(make_doc(object_id="x"))
+    base = make_doc(object_id="x")
     for bad in (
         [[1, 2], [3]],  # not a pair
         [[1, 2], [3, 4, 5]],
@@ -137,7 +136,7 @@ def test_schema_rejects_malformed_points():
 
 
 def test_schema_rejects_bad_degree():
-    data = document_to_dict(make_doc(object_id="x"))
+    data = make_doc(object_id="x")
     for bad in (0, -3, True, "8", 2.0):
         with pytest.raises(DocumentInvalid):
             validate_document_dict(dict(data, n=bad), require_id=True)
@@ -146,7 +145,7 @@ def test_schema_rejects_bad_degree():
 def test_vault_from_document_needs_matching_config():
     rng = random.Random(71)
     vault, _ = encode_vault(synth_template(71, 30), small_params(), rng)
-    doc = document_from_vault(vault, "alice", object_id="x")
+    doc = document_from_vault(vault, "alice")
     back = vault_from_document(doc, small_params())
     assert back.points == vault.points
     with pytest.raises(DocumentInvalid):
@@ -168,10 +167,23 @@ def test_store_round_trip(store):
     assert object_id
     fetched = store.fetch("alice")
     assert len(fetched) == 1
-    assert fetched[0].object_id == object_id
-    assert fetched[0].user_id == doc.user_id
-    assert fetched[0].degree == doc.degree
-    assert fetched[0].points == doc.points
+    assert fetched[0]["id"] == object_id
+    assert fetched[0]["user_id"] == doc["user_id"]
+    assert fetched[0]["n"] == doc["n"]
+    assert fetched[0]["points"] == doc["points"]
+
+
+def test_stored_documents_cannot_be_altered(store):
+    doc = make_doc()
+    object_id = store.put(doc)
+    original = {"id": object_id, **make_doc()}
+    doc["n"] = 5  # the dict the caller passed to put
+    doc["points"][0][1] ^= 1
+    fetched = store.fetch("alice")
+    fetched[0]["user_id"] = "bob"  # a dict fetch returned
+    fetched[0]["points"][1][0] ^= 1
+    fetched[0]["points"].pop()
+    assert store.fetch("alice") == [original]
 
 
 def test_store_unknown_user_empty(store):
@@ -212,7 +224,7 @@ def test_file_store_reaps_stale_temp_files(tmp_path):
     store = FileVaultStore(root)
     assert not stale.exists()
     assert all(path.exists() for path in kept)
-    assert [d.object_id for d in store.fetch("bob")] == [object_id]
+    assert [d["id"] for d in store.fetch("bob")] == [object_id]
 
 
 def test_file_store_skips_dotfiles(tmp_path):
@@ -247,7 +259,7 @@ def test_file_store_reads_indented_files(tmp_path):
     (root / "bob").mkdir()
     (root / "bob" / "0f1e2d3c.json").write_text(_INDENTED_FILE)
     assert store.fetch("bob") == [
-        VaultDocument("0f1e2d3c", "bob", 1, (VaultPoint(7, 2**32 - 1), VaultPoint(0, 12)))
+        {"id": "0f1e2d3c", "user_id": "bob", "n": 1, "points": [[7, 2**32 - 1], [0, 12]]}
     ]
 
 
@@ -257,10 +269,23 @@ def test_file_store_writes_compact_files(tmp_path):
     doc = make_doc(user_id="bob")
     object_id = store.put(doc)
     raw = (root / "bob" / f"{object_id}.json").read_bytes()
-    stored = VaultDocument(object_id, "bob", doc.degree, doc.points)
-    assert raw == json.dumps(document_to_dict(stored), separators=(",", ":")).encode()
+    stored = {"id": object_id, **doc}
+    assert raw == json.dumps(stored, separators=(",", ":")).encode()
     assert b" " not in raw and b"\n" not in raw
     assert store.fetch("bob") == [stored]
+
+
+# One stored file, byte for byte: the at-rest format of make_doc(user_id="bob").
+_PINNED_FILE = (
+    b'{"id":"v1","user_id":"bob","n":2,"points":[[315054540,3315229705],[421571351,1354999308],'
+    b'[161586991,3704075512],[344044702,1184694337],[723744475,1616446857],'
+    b'[27540941,4004041849],[440800496,3353607155],[696330756,3819694717]]}'
+)
+
+
+def test_file_store_bytes_are_pinned(tmp_path):
+    FileVaultStore(tmp_path).put(make_doc(user_id="bob", object_id="v1"))
+    assert (tmp_path / "bob" / "v1.json").read_bytes() == _PINNED_FILE
 
 
 # A stored file that is not JSON, and one that is JSON but breaks the schema.
@@ -289,7 +314,7 @@ def test_file_store_corrupt_document_keeps_the_readable_ones(tmp_path):
     (root / "bob" / f"{bad}.json").write_text("{ not json")
     with pytest.raises(UnreadableVaults, match="corrupt vault file") as info:
         store.fetch("bob")
-    assert [d.object_id for d in info.value.readable] == [good]
+    assert [d["id"] for d in info.value.readable] == [good]
     assert info.value.unreadable == 1
 
 
@@ -320,7 +345,7 @@ def test_file_store_concurrent_puts(tmp_path):
         try:
             while writing.is_set():
                 for doc in store.fetch("crowd"):
-                    assert doc.points == expected.points
+                    assert doc["points"] == expected["points"]
         except Exception as exc:  # pragma: no cover
             errors.append(exc)
 
@@ -337,8 +362,8 @@ def test_file_store_concurrent_puts(tmp_path):
     assert not errors
     docs = store.fetch("crowd")
     assert len(docs) == 41
-    assert len({d.object_id for d in docs}) == 41
-    assert "shared" in {d.object_id for d in docs}
+    assert len({d["id"] for d in docs}) == 41
+    assert "shared" in {d["id"] for d in docs}
     assert not list((tmp_path / "vaults" / "crowd").glob(".*.tmp"))
 
 
@@ -361,7 +386,7 @@ def test_service_health(service):
 
 def test_service_post_and_get(service):
     svc, wire = service
-    payload = document_to_dict(make_doc())
+    payload = make_doc()
     resp = requests.post(f"{svc.url}/vaults", json=payload, timeout=5)
     assert resp.status_code == 201
     object_id = resp.json()["object_id"]
@@ -378,7 +403,7 @@ def test_service_post_and_get(service):
 
 def test_service_rejects_bad_documents(service):
     svc, _ = service
-    bad = document_to_dict(make_doc())
+    bad = make_doc()
     bad["minutiae"] = [[1, 2, 3]]
     resp = requests.post(f"{svc.url}/vaults", json=bad, timeout=5)
     assert resp.status_code == 400
@@ -394,7 +419,7 @@ def test_service_unknown_path_and_missing_query(service):
 
 def test_service_refuses_dot_user_ids(service, tmp_path):
     svc, _ = service
-    payload = document_to_dict(make_doc(user_id=".."))
+    payload = make_doc(user_id="..")
     assert requests.post(f"{svc.url}/vaults", json=payload, timeout=5).status_code == 400
     for user_id in ("..", "."):
         resp = requests.get(f"{svc.url}/vaults", params={"user_id": user_id}, timeout=5)
@@ -495,9 +520,8 @@ class _FaultyStore:
 
 
 _STORED = make_doc(object_id="v1")
-_STORED_DICT = document_to_dict(_STORED)
-_WIRE_DOC = json.dumps(document_to_dict(make_doc())).encode()
-_BAD_SCHEMA = json.dumps({**document_to_dict(make_doc()), "minutiae": [[1, 2, 3]]}).encode()
+_WIRE_DOC = json.dumps(make_doc()).encode()
+_BAD_SCHEMA = json.dumps({**make_doc(), "minutiae": [[1, 2, 3]]}).encode()
 _TEN_BYTES = b'{"n": 123}'
 _GET_KEYS = {"method", "path", "status", "response"}
 _USER_KEYS = _GET_KEYS | {"user_id"}
@@ -509,7 +533,7 @@ _DOWN = "store is down"
 _FAULT_MAP = {
     "health": ("GET", "/health", b"", None, None, 200, {"status": "ok"}, _GET_KEYS),
     "get": ("GET", "/vaults?user_id=alice", b"", None, None,
-            200, {"vaults": [_STORED_DICT]}, _USER_KEYS),
+            200, {"vaults": [_STORED]}, _USER_KEYS),
     "get-no-user": ("GET", "/vaults", b"", None, None,
                     400, {"error": "exactly one user_id is required"}, _USER_KEYS),
     "get-two-users": ("GET", "/vaults?user_id=alice&user_id=bob", b"", None, None,
@@ -521,7 +545,7 @@ _FAULT_MAP = {
                        503, {"error": _DOWN}, _USER_KEYS),
     "get-some-unreadable": ("GET", "/vaults?user_id=alice", b"", None,
                             UnreadableVaults("1 corrupt", [_STORED], 1),
-                            200, {"vaults": [_STORED_DICT], "unreadable": 1}, _USER_KEYS),
+                            200, {"vaults": [_STORED], "unreadable": 1}, _USER_KEYS),
     "get-all-unreadable": ("GET", "/vaults?user_id=alice", b"", None,
                            UnreadableVaults("2 corrupt", [], 2),
                            503, {"error": "2 corrupt"}, _USER_KEYS),
@@ -836,7 +860,7 @@ def test_client_dials_the_store_directly(tmp_path, live, monkeypatch):
     write_template(template_path, synth_template(114, 40))
     object_id, _ = enroll(template_path, "omar", live.url, small_params(), random.Random(115))
     assert not template_path.exists()
-    assert [d.object_id for d in live.store.fetch("omar")] == [object_id]
+    assert [d["id"] for d in live.store.fetch("omar")] == [object_id]
 
 
 class _CannedReply(BaseHTTPRequestHandler):
@@ -876,6 +900,12 @@ def canned():
     (200, b"[]", StorageUnavailable),
     (200, b'{"vaults": 5}', StorageUnavailable),
     (200, b"{ not json", StorageUnavailable),
+    # a schema-breaking document is the store's fault, not the client's
+    pytest.param(200, json.dumps({"vaults": [{**_STORED, "n": 0}]}).encode(), StorageUnavailable,
+                 id="bad-schema"),
+    # a well-formed vault of alice's is not lena's to decode
+    pytest.param(200, json.dumps({"vaults": [_STORED]}).encode(), StorageUnavailable,
+                 id="other-user"),
     (400, b"[]", DocumentInvalid),
 ])
 def test_client_malformed_vault_reply_keeps_probe(tmp_path, canned, status, body, error):
@@ -908,7 +938,12 @@ def test_client_wire_requests(tmp_path, canned):
     assert enroll(template_path, "pia", canned.url + "/", params, random.Random(117))[0] == "v9"
     vault, _ = encode_vault(read_template(copy_path, params.width, params.height), params,
                             random.Random(117))
-    body = json.dumps(document_to_dict(document_from_vault(vault, "pia"))).encode()
+    body = json.dumps(document_from_vault(vault, "pia")).encode()
+    assert body == (
+        b'{"user_id": "pia", "n": 2, "points": [[570797172, 4151418803], [401010756, 3020153057], '
+        b'[468070033, 1824626657], [768110538, 1779990708], [452989333, 2826823258], '
+        b'[702578819, 686495134], [354784723, 29910731], [436395990, 1473415151]]}'
+    )
 
     canned.reply = (200, b'{"vaults": []}')
     with pytest.raises(UnknownUser):

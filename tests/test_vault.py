@@ -24,7 +24,6 @@ from fuzzyvault.vault import (
     generate_secret,
     genuine_indices,
     join_coefficients,
-    points_from_pairs,
     secret_from_polynomial,
     secret_polynomial,
     split_coefficients,
@@ -283,15 +282,19 @@ def test_point_rule_matches_oracle(pairs):
     assert _verdict(check_point_pairs, pairs) == _verdict(oracle.check_point_pairs, pairs)
 
 
-def test_points_from_pairs_builds_the_same_points():
+def test_vault_point_is_an_immutable_pair():
+    # the pairs check_point_pairs passes become points as stored documents do
     pairs = [[0, 2**32 - 1], [5, 7], [_Word(3), _Flag.ON]]
-    built = points_from_pairs(pairs)
+    built = tuple(map(VaultPoint._make, pairs))
     assert built == tuple(VaultPoint(x, y) for x, y in pairs)
-    assert [vars(p) for p in built] == [vars(VaultPoint(x, y)) for x, y in pairs]
+    assert [(p.X, p.Y) for p in built] == [(x, y) for x, y in pairs]
     assert [hash(p) for p in built] == [hash(VaultPoint(x, y)) for x, y in pairs]
     assert all(type(p) is VaultPoint for p in built)
-    with pytest.raises(AttributeError):  # still frozen
+    assert VaultPoint(5, 7) != VaultPoint(7, 5)
+    with pytest.raises(AttributeError):  # frozen
         built[0].X = 1
+    with pytest.raises(TypeError):  # a pair, nothing longer
+        VaultPoint._make([1, 2, 3])
 
 
 DROP = object()
