@@ -44,7 +44,7 @@ from .evaluation import (
 from .minutiae import ChaffExhausted, InsufficientMinutiae, read_template
 from .security import SecurityModel, estimate, float_or_int
 from .service import VaultStoreService
-from .store import FileVaultStore, MemoryVaultStore, StorageUnavailable
+from .store import FileVaultStore, MemoryVaultStore, StorageUnavailable, parse_json
 from .vault import (
     VaultParams,
     VaultPoint,
@@ -131,7 +131,7 @@ def verify(vault_path, probe_path, x_thres, y_thres, theta_thres, basis_thres,
     Exit 0 on match, 1 on non-match, 2 on error.
     """
     rng = random.Random(seed)
-    vault = vault_from_dict(json.loads(Path(vault_path).read_text()))
+    vault = vault_from_dict(parse_json(Path(vault_path).read_text()))
     probe = read_template(probe_path, vault.params.width, vault.params.height)
     match_params = MatchParams(x_thres, y_thres, theta_thres, basis_thres)
     result = decode_vault(vault, probe, match_params, SubsetStrategy(strategy_name, cap), rng)
@@ -247,12 +247,9 @@ def eval_cmd(dataset_dir, synthetic_spec, protocol, config_name, seed, out_path,
 def enroll(user_id, template_path, server, config_name, width, height, seed):
     """Encode a template locally, store the vault, destroy the template."""
     cfg = BUILTIN_CONFIGS[config_name]
-    try:
-        object_id, _secret = client_enroll(
-            template_path, user_id, server, cfg.vault_params(width, height), random.Random(seed)
-        )
-    except InsufficientMinutiae as exc:
-        _fail(f"{exc} (rescan the finger and retry)")
+    object_id, _secret = client_enroll(
+        template_path, user_id, server, cfg.vault_params(width, height), random.Random(seed)
+    )
     click.echo(object_id)
 
 

@@ -26,6 +26,7 @@ from .store import (
     StorageUnavailable,
     document_from_dict,
     document_from_vault,
+    parse_json,
     vault_from_document,
 )
 from .vault import VaultParams, encode_vault
@@ -67,7 +68,7 @@ def _request(method: str, server_url: str, expected: int, query: str = "",
     except (OSError, ValueError, http.client.HTTPException) as exc:
         raise StorageUnavailable(f"cannot reach vault store: {exc}") from exc
     try:
-        reply = json.loads(raw)
+        reply = parse_json(raw)
     except ValueError:
         reply = None
     if status == 400:
@@ -92,7 +93,7 @@ def _get_vaults(server_url: str, user_id: str) -> tuple[list[dict], int]:
     # validate everything that came over the wire before trusting it; a 200
     # reply with a bad document, or another user's, is the store's fault
     try:
-        docs = [document_from_dict(d, require_id=True) for d in vaults]
+        docs = [document_from_dict(d) for d in vaults]
     except DocumentInvalid as exc:
         raise StorageUnavailable(f"vault store sent a bad vault document: {exc}") from None
     if any(doc["user_id"] != user_id for doc in docs):

@@ -20,7 +20,6 @@ import numpy as np
 COORD_MAX = 2047  # 11 bits for each coordinate
 THETA_STEPS = 1024  # 10 bits for orientation
 _X_SHIFT, _Y_SHIFT = 21, 10  # bit offsets of x and y in a packed minutia
-_THETA_MASK = THETA_STEPS - 1
 
 CHAFF_ATTEMPTS = 10_000  # rejection draws place_spaced allows per point
 _STRIDE = 1 << 32  # spacing cell (i, j) has key i * _STRIDE + j; no coordinate reaches it
@@ -89,6 +88,8 @@ def parse_template(text: str, width: int, height: int) -> Template:
         line = raw.strip()
         if not line:
             continue
+        if not line.isascii() or "_" in line:  # int() and float() read "1_0" and "١٢"
+            raise ParseError(f"line {lineno}: non-ASCII character or '_' in {line!r}")
         parts = line.split()
         if len(parts) not in (3, 4):
             raise ParseError(f"line {lineno}: expected 'x y theta [quality]', got {len(parts)} fields")
@@ -221,24 +222,15 @@ def pack_minutia(x: int, y: int, theta: float) -> int:
     return (x << _X_SHIFT) | (y << _Y_SHIFT) | int(theta * THETA_STEPS / 360)
 
 
-def decode_minutia(rep: int) -> Minutia:
-    """Inverse of encode_minutia up to orientation quantization; quality is 0."""
-    return Minutia(
-        x=(rep >> _X_SHIFT) & COORD_MAX,
-        y=(rep >> _Y_SHIFT) & COORD_MAX,
-        theta=(rep & _THETA_MASK) * 360.0 / THETA_STEPS,
-    )
-
-
 def decode_minutiae(words: Sequence[int]) -> np.ndarray:
-    """decode_minutia over many words at once: x, y, theta per row, shape (k, 3).
+    """Unpack many words at once: x, y, theta per row, shape (k, 3).
 
-    Every value equals the matching decode_minutia field exactly, since
-    theta is the same float64 multiply and divide.
+    Every value equals the matching field of decode_minutia, the scalar oracle in
+    tests/minutiae_oracle.py, exactly, since theta is the same float64 multiply and divide.
     """
     w = np.asarray(words, dtype=np.int64)
     return np.stack([
         (w >> _X_SHIFT) & COORD_MAX,
         (w >> _Y_SHIFT) & COORD_MAX,
-        (w & _THETA_MASK) * 360.0 / THETA_STEPS,
+        (w & (THETA_STEPS - 1)) * 360.0 / THETA_STEPS,
     ], axis=1)

@@ -4,7 +4,7 @@ Endpoints:
 
 * ``GET /health`` liveness probe
 * ``POST /vaults`` enroll one vault document (without id), returns 201
-  and the assigned object id
+  and the object id the store assigned; the store's put is its one check
 * ``GET /vaults?user_id=...`` every vault stored for that user
 
 Every request passes one boundary: a route returns (status, payload)
@@ -33,7 +33,7 @@ from .store import (
     DocumentInvalid,
     StorageUnavailable,
     UnreadableVaults,
-    document_from_dict,
+    parse_json,
 )
 
 _MAX_BODY = 8 << 20  # bytes; a vault document is a few KB
@@ -85,11 +85,11 @@ class VaultStoreService:
                 if length <= 0 or length > _MAX_BODY:
                     raise DocumentInvalid("missing, malformed or oversized body")
                 try:
-                    data = json.loads(self.rfile.read(length))
+                    data = parse_json(self.rfile.read(length))
                 except ValueError:  # bad JSON or bytes that are not UTF-8
                     raise DocumentInvalid("body is not valid JSON") from None
                 logged["request"] = data
-                object_id = service.store.put(document_from_dict(data, require_id=False))
+                object_id = service.store.put(data)
                 return 201, {"object_id": object_id}
 
             def unknown(self, query: str, logged: dict) -> tuple[int, dict]:

@@ -46,6 +46,15 @@ class UnreadableVaults(StorageUnavailable):
         self.unreadable = unreadable
 
 
+def parse_json(text):
+    """json.loads at every boundary (vault file, request or reply body, file at rest),
+    where JSON nested past the parser's recursion limit is a ValueError, not a RecursionError."""
+    try:
+        return json.loads(text)
+    except RecursionError:
+        raise ValueError("JSON nested too deeply") from None
+
+
 def check_user_id(user_id) -> None:
     """Raise DocumentInvalid unless user_id is safe as one directory name."""
     if (not isinstance(user_id, str) or not _USER_ID_RE.fullmatch(user_id)
@@ -97,10 +106,19 @@ def validate_document_dict(data, require_id: bool) -> None:
         raise DocumentInvalid(f"need at least {n + 1} points for degree {n}")
 
 
-def document_from_dict(data, require_id: bool = True) -> dict:
-    """data itself, once validate_document_dict has passed it."""
-    validate_document_dict(data, require_id)
+def document_from_dict(data) -> dict:
+    """data itself, once validate_document_dict has passed it as a stored document."""
+    validate_document_dict(data, require_id=True)
     return data
+
+
+def _file_document(doc: dict) -> tuple[str, str]:
+    """(a fresh object id, the compact JSON text filed under it) for a wire document,
+    which may not carry "id": the store alone names vaults.  The C encoder writes
+    compact JSON (indent=2 forces the Python one); files written indented still load."""
+    validate_document_dict(doc, require_id=False)
+    object_id = uuid.uuid4().hex
+    return object_id, json.dumps({"id": object_id, **doc}, separators=(",", ":"))
 
 
 class MemoryVaultStore:
@@ -112,9 +130,7 @@ class MemoryVaultStore:
         self._by_user: dict[str, list[str]] = {}
 
     def put(self, doc: dict) -> str:
-        validate_document_dict(doc, require_id="id" in doc)
-        object_id = doc["id"] if "id" in doc else uuid.uuid4().hex
-        text = json.dumps({"id": object_id, **doc})
+        object_id, text = _file_document(doc)
         with self._lock:
             self._by_user.setdefault(doc["user_id"], []).append(text)
         return object_id
@@ -131,8 +147,7 @@ class FileVaultStore:
     Each write goes to its own uniquely named dot-prefixed temp file,
     then fsync, then os.replace, so a crash can leave a stale temp file
     but never a half-written document.  fetch lists only non-dot *.json
-    files, so a reader sees a whole document or none, and of two puts
-    with the same object_id the last replace wins; no lock is held.
+    files, so a reader sees a whole document or none; no lock is held.
     Construction removes the temp files a crashed writer left behind, so
     one store object must own its root.  fetch raises UnreadableVaults,
     carrying the readable documents, when any of the user's files is
@@ -149,18 +164,14 @@ class FileVaultStore:
             raise StorageUnavailable(f"cannot create store root {self.root}: {exc}") from exc
 
     def put(self, doc: dict) -> str:
-        validate_document_dict(doc, require_id="id" in doc)
-        object_id = doc["id"] if "id" in doc else uuid.uuid4().hex
-        # compact JSON, which the C encoder writes (indent=2 forces the Python
-        # one); files written indented still load
-        payload = json.dumps({"id": object_id, **doc}, separators=(",", ":")).encode()
+        object_id, text = _file_document(doc)
         user_dir = self.root / doc["user_id"]
         final = user_dir / f"{object_id}.json"
         tmp = user_dir / f".{uuid.uuid4().hex}.tmp"
         try:
             user_dir.mkdir(exist_ok=True)
             with open(tmp, "xb") as fh:
-                fh.write(payload)
+                fh.write(text.encode())
                 fh.flush()
                 os.fsync(fh.fileno())
             os.replace(tmp, final)
@@ -178,10 +189,9 @@ class FileVaultStore:
         try:
             paths = sorted(p for p in user_dir.glob("*.json") if not p.name.startswith("."))
             for path in paths:
-                with open(path, "rb") as fh:
-                    raw = fh.read()
+                raw = path.read_bytes()
                 try:
-                    docs.append(document_from_dict(json.loads(raw), require_id=True))
+                    docs.append(document_from_dict(parse_json(raw)))
                 except ValueError as exc:
                     # bad JSON, bad encoding or a schema violation: the
                     # request was fine, the store is not

@@ -169,11 +169,34 @@ def inf_point_distance(runner, tmp_path):
             str(tmp_path / "v.json"), "--pd", "inf"]
 
 
+def deeply_nested_vault(runner, tmp_path):
+    vault_path = tmp_path / "deep.json"
+    vault_path.write_text("[" * 100_000)  # past the json parser's recursion limit
+    return ["verify", "--vault", str(vault_path), "--probe", str(template_file(tmp_path))]
+
+
+def separator_in_template(runner, tmp_path):
+    template_path = tmp_path / "f.xyt"
+    template_path.write_text("1_0 20 30\n")  # int() reads 1_0 as 10
+    return ["encode", "--template", str(template_path), "--out", str(tmp_path / "v.json")]
+
+
+def sparse_enroll_template(runner, tmp_path):
+    template_path = tmp_path / "sparse.xyt"
+    write_template(template_path, synth_template(910, 20))  # fvc-1 locks 30 minutiae
+    # the store is never dialled: encoding fails first
+    return ["enroll", "--id", "ada", "--template", str(template_path),
+            "--server", "http://127.0.0.1:9"]
+
+
 @pytest.mark.parametrize("make_args, reason", [
     (unwritable_secret_out, "s.hex"),
     (nan_point_distance, "points_distance"),
     (inf_point_distance, "points_distance"),
     (float_degree_vault, "params.n"),
+    (deeply_nested_vault, "nested too deeply"),
+    (separator_in_template, "line 1"),
+    (sparse_enroll_template, "required; rescan the finger\n"),  # said once
     (lambda runner, tmp_path: ["serve", "--memory", "--port", "70000"], "--port"),
     (lambda runner, tmp_path: ["security", "--g", "35", "--c", "300", "--n", "8", "--l", "nan"],
      "interpolation_seconds"),
@@ -184,8 +207,8 @@ def inf_point_distance(runner, tmp_path):
     (lambda runner, tmp_path: ["eval", "--synthetic", "x=1"], "--synthetic"),
     (lambda runner, tmp_path: ["eval", "--synthetic", "fingers=2,captures=2",
                                "--width", "10", "--height", "10"], "synthetic minutia"),
-], ids=["secret-out", "pd-nan", "pd-inf", "float-degree", "port", "l-nan", "l-inf", "l-1e400",
-        "synthetic", "synthetic-shape"])
+], ids=["secret-out", "pd-nan", "pd-inf", "float-degree", "deep-vault", "xyt-separator",
+        "sparse-enroll", "port", "l-nan", "l-inf", "l-1e400", "synthetic", "synthetic-shape"])
 def test_usage_errors_exit_two_without_traceback(runner, tmp_path, make_args, reason):
     result = runner.invoke(main, make_args(runner, tmp_path))
     assert result.exit_code == 2

@@ -14,13 +14,13 @@ from fuzzyvault.minutiae import (
     ParseError,
     Template,
     THETA_STEPS,
-    decode_minutia,
     decode_minutiae,
     encode_minutia,
     parse_template,
     read_template,
     select_minutiae,
 )
+from minutiae_oracle import decode_minutia
 
 
 def test_parse_four_fields():
@@ -48,6 +48,20 @@ def test_parse_rejects_garbage_with_line_number():
         parse_template("10 10 0 1\n10 ten 0 1\n", 400, 560)
     with pytest.raises(ParseError):
         parse_template("10 10\n", 400, 560)
+
+
+@pytest.mark.parametrize("line", ["1_0 20 30", "10 2_0 30", "10 20 3_0.5", "10 20 30 1_0",
+                                  "\u0661\u0662 20 30", "10 20 \u0663\u0660"])
+def test_parse_refuses_separators_and_non_ascii_digits(line):
+    # int() and float() read "1_0" as 10 and Arabic-Indic digits as ASCII ones
+    with pytest.raises(ParseError, match="line 2"):
+        parse_template(f"1 1 0\n{line}\n", 400, 560)
+
+
+def test_parse_reads_repr_floats():
+    # the benchmark writes each angle as repr(theta)
+    t = parse_template(f"10 20 {1e-05!r} 3\n11 21 {359.99999999999994!r}\n", 400, 560)
+    assert [m.theta for m in t.minutiae] == [1e-05, 359.99999999999994]
 
 
 @st.composite

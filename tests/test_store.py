@@ -3,6 +3,7 @@
 import http.client
 import json
 import random
+import re
 import socket
 import threading
 import time
@@ -24,6 +25,7 @@ from fuzzyvault.decoder import (
 from fuzzyvault.evaluation import BUILTIN_CONFIGS, perturb_template, synth_template
 from fuzzyvault.minutiae import InsufficientMinutiae, read_template
 from fuzzyvault import service as service_module
+from fuzzyvault import store as store_module
 from fuzzyvault.service import VaultStoreService
 from fuzzyvault.store import (
     DocumentInvalid,
@@ -196,6 +198,14 @@ def test_store_many_docs_one_user(store):
     assert len(store.fetch("alice")) == 4
 
 
+@pytest.mark.parametrize("object_id", ["../../escaped", "v1"])
+def test_store_refuses_a_caller_chosen_id(store, tmp_path, object_id):
+    with pytest.raises(DocumentInvalid, match="unexpected \\['id'\\]"):
+        store.put(make_doc(object_id=object_id))
+    assert store.fetch("alice") == []
+    assert [p for p in tmp_path.rglob("*") if not p.is_dir()] == []  # nothing written anywhere
+
+
 def test_store_rejects_invalid_user_on_fetch(store):
     for user_id in ("../../etc", "..", ".", "bob\n"):
         with pytest.raises(DocumentInvalid):
@@ -275,7 +285,8 @@ def test_file_store_writes_compact_files(tmp_path):
     assert store.fetch("bob") == [stored]
 
 
-# One stored file, byte for byte: the at-rest format of make_doc(user_id="bob").
+# One stored file, byte for byte: the at-rest format of make_doc(user_id="bob")
+# filed under the object id "v1".
 _PINNED_FILE = (
     b'{"id":"v1","user_id":"bob","n":2,"points":[[315054540,3315229705],[421571351,1354999308],'
     b'[161586991,3704075512],[344044702,1184694337],[723744475,1616446857],'
@@ -284,14 +295,18 @@ _PINNED_FILE = (
 
 
 def test_file_store_bytes_are_pinned(tmp_path):
-    FileVaultStore(tmp_path).put(make_doc(user_id="bob", object_id="v1"))
-    assert (tmp_path / "bob" / "v1.json").read_bytes() == _PINNED_FILE
+    object_id = FileVaultStore(tmp_path).put(make_doc(user_id="bob"))
+    assert re.fullmatch("[0-9a-f]{32}", object_id)  # uuid4().hex
+    assert (tmp_path / "bob" / f"{object_id}.json").read_bytes() == _PINNED_FILE.replace(
+        b'"v1"', f'"{object_id}"'.encode(), 1)
 
 
-# A stored file that is not JSON, and one that is JSON but breaks the schema.
+# A stored file that is not JSON, one that is JSON but breaks the schema, and
+# one nested past the json parser's recursion limit.
 _CORRUPT_FILES = [
     "{ not json",
     json.dumps({"id": "x", "user_id": "bob", "n": 2, "points": [[1.9, True]]}),
+    "[" * 100_000,
 ]
 
 
@@ -326,18 +341,18 @@ def test_file_store_unavailable_root(tmp_path):
 
 
 def test_file_store_concurrent_puts(tmp_path):
-    # 8 writers with fresh ids, 4 writers that share one explicit id and
-    # 2 readers, all on one user: every fetch sees only whole documents
+    # 8 writers and 2 readers, all on one user: every fetch sees only
+    # whole documents
     store = FileVaultStore(tmp_path / "vaults")
     errors = []
     writing = threading.Event()
     writing.set()
     expected = make_doc(user_id="crowd")
 
-    def worker(object_id):
+    def worker():
         try:
             for _ in range(5):
-                store.put(make_doc(user_id="crowd", object_id=object_id))
+                store.put(make_doc(user_id="crowd"))
         except Exception as exc:  # pragma: no cover
             errors.append(exc)
 
@@ -349,8 +364,7 @@ def test_file_store_concurrent_puts(tmp_path):
         except Exception as exc:  # pragma: no cover
             errors.append(exc)
 
-    writers = [threading.Thread(target=worker, args=(None,)) for _ in range(8)]
-    writers += [threading.Thread(target=worker, args=("shared",)) for _ in range(4)]
+    writers = [threading.Thread(target=worker) for _ in range(8)]
     readers = [threading.Thread(target=reader) for _ in range(2)]
     for t in readers + writers:
         t.start()
@@ -361,9 +375,8 @@ def test_file_store_concurrent_puts(tmp_path):
         t.join()
     assert not errors
     docs = store.fetch("crowd")
-    assert len(docs) == 41
-    assert len({d["id"] for d in docs}) == 41
-    assert "shared" in {d["id"] for d in docs}
+    assert len(docs) == 40
+    assert len({d["id"] for d in docs}) == 40
     assert not list((tmp_path / "vaults" / "crowd").glob(".*.tmp"))
 
 
@@ -399,6 +412,20 @@ def test_service_post_and_get(service):
 
     methods = [(e["method"], e["status"]) for e in wire]
     assert ("POST", 201) in methods and ("GET", 200) in methods
+
+
+def test_service_validates_a_post_once(monkeypatch):
+    calls = []
+
+    def counted(data, require_id):
+        calls.append(require_id)
+        return validate_document_dict(data, require_id)
+
+    monkeypatch.setattr(store_module, "validate_document_dict", counted)
+    with VaultStoreService(MemoryVaultStore(), port=0) as svc:
+        resp = requests.post(f"{svc.url}/vaults", data=_WIRE_DOC, timeout=5)
+    assert resp.status_code == 201
+    assert calls == [False]  # the store's put, and nothing else
 
 
 def test_service_rejects_bad_documents(service):
@@ -501,7 +528,7 @@ def test_service_stop_is_prompt():
 
 
 class _FaultyStore:
-    """Checks user ids as both stores do, then raises fault if one is set."""
+    """Checks user ids and documents as both stores do, then raises fault if one is set."""
 
     def __init__(self, docs, fault):
         self.docs = docs
@@ -514,6 +541,7 @@ class _FaultyStore:
         return self.docs
 
     def put(self, doc):
+        validate_document_dict(doc, require_id=False)
         if self.fault is not None:
             raise self.fault
         return "stored-id"
@@ -565,6 +593,8 @@ _FAULT_MAP = {
                        400, {"error": "missing, malformed or oversized body"}, _GET_KEYS),
     "post-bad-json": ("POST", "/vaults", b"{ nope", None, None,
                       400, {"error": "body is not valid JSON"}, _GET_KEYS),
+    "post-deep-json": ("POST", "/vaults", b"[" * 100_000, None, None,
+                       400, {"error": "body is not valid JSON"}, _GET_KEYS),
     "post-not-utf8": ("POST", "/vaults", b'{"user_id": "\xff"}', None, None,
                       400, {"error": "body is not valid JSON"}, _GET_KEYS),
     "post-schema": ("POST", "/vaults", _BAD_SCHEMA, None, None,
@@ -698,7 +728,7 @@ def test_client_keeps_probe_when_vault_config_mismatches(tmp_path, live):
     assert probe_path.exists()  # no decision was reached
 
 
-@pytest.mark.parametrize("content", _CORRUPT_FILES, ids=["not-json", "schema"])
+@pytest.mark.parametrize("content", _CORRUPT_FILES, ids=["not-json", "schema", "deep"])
 def test_corrupt_stored_vault_is_503_and_keeps_probe(tmp_path, live, content):
     enroll_path = tmp_path / "enroll.xyt"
     write_template(enroll_path, synth_template(94, 40))
@@ -906,6 +936,7 @@ def canned():
     # a well-formed vault of alice's is not lena's to decode
     pytest.param(200, json.dumps({"vaults": [_STORED]}).encode(), StorageUnavailable,
                  id="other-user"),
+    pytest.param(200, b"[" * 100_000, StorageUnavailable, id="deep"),
     (400, b"[]", DocumentInvalid),
 ])
 def test_client_malformed_vault_reply_keeps_probe(tmp_path, canned, status, body, error):

@@ -9,9 +9,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import points_oracle as oracle
+from minutiae_oracle import decode_minutia
 from fuzzyvault import gf32
 from fuzzyvault.evaluation import synth_template
-from fuzzyvault.minutiae import ChaffExhausted, InsufficientMinutiae, decode_minutia, encode_minutia
+from fuzzyvault.minutiae import ChaffExhausted, InsufficientMinutiae, encode_minutia
 from fuzzyvault.vault import (
     LengthMismatch,
     Vault,
