@@ -58,6 +58,31 @@ from .vault import (
 _USAGE_ERRORS = (InsufficientMinutiae, ChaffExhausted, StorageUnavailable, ValueError, OSError)
 
 
+class _Plain:
+    """Mixin for click's number types: refuse a non-ASCII character or "_" first,
+    which int() and float() read ("1_0" as 10, "٣" as 3); parse_template's rule."""
+
+    def convert(self, value, param, ctx):
+        if isinstance(value, str) and (not value.isascii() or "_" in value):
+            self.fail(f"{value!r} is not a plain ASCII number", param, ctx)
+        return super().convert(value, param, ctx)
+
+
+class _Int(_Plain, click.types.IntParamType):
+    pass
+
+
+class _Float(_Plain, click.types.FloatParamType):
+    pass
+
+
+class _IntRange(_Plain, click.IntRange):
+    pass
+
+
+_INT, _FLOAT = _Int(), _Float()
+
+
 def _fail(exc) -> None:
     click.echo(f"error: {exc}", err=True)
     sys.exit(2)
@@ -73,7 +98,7 @@ class _Group(click.Group):
             _fail(exc)
 
 
-@click.group(cls=_Group)
+@click.group(cls=_Group, context_settings={"show_default": True})
 def main():
     """Fingerprint fuzzy vaults: encode, match, analyze, serve."""
 
@@ -83,13 +108,13 @@ def main():
               type=click.Path(exists=True, dir_okay=False), help="minutiae file (.xyt)")
 @click.option("--out", "out_path", required=True, type=click.Path(dir_okay=False),
               help="where to write the vault JSON")
-@click.option("--n", "degree", default=8, show_default=True, help="polynomial degree")
-@click.option("--genuine", default=30, show_default=True, help="genuine minutiae locked in")
-@click.option("--chaff", default=340, show_default=True, help="chaff points added")
-@click.option("--pd", default=10.0, show_default=True, help="minimum point distance, px")
-@click.option("--width", default=400, show_default=True)
-@click.option("--height", default=560, show_default=True)
-@click.option("--seed", type=int, default=None, help="RNG seed (default: OS entropy)")
+@click.option("--n", "degree", type=_INT, default=8, help="polynomial degree")
+@click.option("--genuine", type=_INT, default=30, help="genuine minutiae locked in")
+@click.option("--chaff", type=_INT, default=340, help="chaff points added")
+@click.option("--pd", type=_FLOAT, default=10.0, help="minimum point distance, px")
+@click.option("--width", type=_INT, default=400)
+@click.option("--height", type=_INT, default=560)
+@click.option("--seed", type=_INT, default=None, help="RNG seed (default: OS entropy)")
 @click.option("--secret-out", type=click.Path(dir_okay=False), default=None,
               help="write the bound secret (hex) to a file instead of stdout")
 def encode(template_path, out_path, degree, genuine, chaff, pd, width, height, seed, secret_out):
@@ -115,14 +140,13 @@ def encode(template_path, out_path, degree, genuine, chaff, pd, width, height, s
 @main.command()
 @click.option("--vault", "vault_path", required=True, type=click.Path(exists=True, dir_okay=False))
 @click.option("--probe", "probe_path", required=True, type=click.Path(exists=True, dir_okay=False))
-@click.option("--x-thres", default=12.0, show_default=True)
-@click.option("--y-thres", default=12.0, show_default=True)
-@click.option("--theta-thres", default=12.0, show_default=True)
-@click.option("--basis-thres", default=15.0, show_default=True)
-@click.option("--strategy", "strategy_name", type=click.Choice(VARIANTS),
-              default=RANDOM_SELECTION, show_default=True)
-@click.option("--cap", type=int, default=None, help="subset draws per candidate set")
-@click.option("--seed", type=int, default=None)
+@click.option("--x-thres", type=_FLOAT, default=12.0)
+@click.option("--y-thres", type=_FLOAT, default=12.0)
+@click.option("--theta-thres", type=_FLOAT, default=12.0)
+@click.option("--basis-thres", type=_FLOAT, default=15.0)
+@click.option("--strategy", "strategy_name", type=click.Choice(VARIANTS), default=RANDOM_SELECTION)
+@click.option("--cap", type=_INT, default=None, help="subset draws per candidate set")
+@click.option("--seed", type=_INT, default=None)
 @click.option("--stats", is_flag=True, help="print the match counters as JSON")
 def verify(vault_path, probe_path, x_thres, y_thres, theta_thres, basis_thres,
            strategy_name, cap, seed, stats):
@@ -142,10 +166,10 @@ def verify(vault_path, probe_path, x_thres, y_thres, theta_thres, basis_thres,
 
 
 @main.command()
-@click.option("--g", "genuine", required=True, type=int, help="genuine points in the vault")
-@click.option("--c", "chaff", required=True, type=int, help="chaff points in the vault")
-@click.option("--n", "degree", required=True, type=int, help="polynomial degree")
-@click.option("--l", "interp_seconds", type=float, default=None,
+@click.option("--g", "genuine", required=True, type=_INT, help="genuine points in the vault")
+@click.option("--c", "chaff", required=True, type=_INT, help="chaff points in the vault")
+@click.option("--n", "degree", required=True, type=_INT, help="polynomial degree")
+@click.option("--l", "interp_seconds", type=_FLOAT, default=None,
               help="measured seconds per unlock attempt (see: fv benchmark)")
 def security(genuine, chaff, degree, interp_seconds):
     """Analytic brute-force cost of a vault shape, as JSON."""
@@ -160,10 +184,9 @@ def security(genuine, chaff, degree, interp_seconds):
 
 
 @main.command()
-@click.option("--n", "degree", default=8, show_default=True, type=click.IntRange(min=1),
-              help="polynomial degree")
-@click.option("--trials", default=200, show_default=True, type=click.IntRange(min=1))
-@click.option("--seed", type=int, default=0, show_default=True)
+@click.option("--n", "degree", default=8, type=_IntRange(min=1), help="polynomial degree")
+@click.option("--trials", default=200, type=_IntRange(min=1))
+@click.option("--seed", type=_INT, default=0)
 def benchmark(degree, trials, seed):
     """Median seconds per unlock attempt, after one warm-up; feed it to security --l."""
     rng = random.Random(seed)
@@ -182,13 +205,11 @@ def benchmark(degree, trials, seed):
 
 
 def _parse_synthetic(shape: str) -> tuple[int, int]:
-    pairs = {}
-    for field in shape.split(","):
-        key, _, value = field.partition("=")
-        pairs[key.strip()] = value.strip()
+    fields = (field.partition("=") for field in shape.split(","))
+    pairs = {key.strip(): value.strip() for key, _, value in fields}
     try:
-        return int(pairs["fingers"]), int(pairs["captures"])
-    except (KeyError, ValueError):
+        return tuple(_INT.convert(pairs[key], None, None) for key in ("fingers", "captures"))
+    except (KeyError, click.BadParameter):
         raise ValueError(f'--synthetic wants "fingers=10,captures=5", got {shape!r}') from None
 
 
@@ -197,15 +218,15 @@ def _parse_synthetic(shape: str) -> tuple[int, int]:
               default=None, help="directory of finger_id/capture.xyt trees")
 @click.option("--synthetic", "synthetic_spec", default=None, metavar="SHAPE",
               help='generate data instead, e.g. "fingers=10,captures=5"')
-@click.option("--protocol", type=click.Choice(["fvc", "all"]), default="fvc", show_default=True)
+@click.option("--protocol", type=click.Choice(["fvc", "all"]), default="fvc")
 @click.option("--config", "config_name", type=click.Choice(sorted(BUILTIN_CONFIGS)),
-              default="fvc-1", show_default=True)
-@click.option("--seed", type=int, default=0, show_default=True)
+              default="fvc-1")
+@click.option("--seed", type=_INT, default=0)
 @click.option("--out", "out_path", type=click.Path(dir_okay=False), default=None,
               help="also write the report as CSV")
-@click.option("--width", default=400, show_default=True)
-@click.option("--height", default=560, show_default=True)
-@click.option("--minutiae", default=60, show_default=True, help="synthetic minutiae per finger")
+@click.option("--width", type=_INT, default=400)
+@click.option("--height", type=_INT, default=560)
+@click.option("--minutiae", type=_INT, default=60, help="synthetic minutiae per finger")
 @click.option("--dry-run", is_flag=True, help="count the comparisons, execute none")
 def eval_cmd(dataset_dir, synthetic_spec, protocol, config_name, seed, out_path,
              width, height, minutiae, dry_run):
@@ -240,10 +261,10 @@ def eval_cmd(dataset_dir, synthetic_spec, protocol, config_name, seed, out_path,
 @click.option("--server", envvar="FV_SERVER", required=True,
               help="vault store URL (env: FV_SERVER)")
 @click.option("--config", "config_name", type=click.Choice(sorted(BUILTIN_CONFIGS)),
-              default="fvc-1", show_default=True)
-@click.option("--width", default=400, show_default=True)
-@click.option("--height", default=560, show_default=True)
-@click.option("--seed", type=int, default=None)
+              default="fvc-1")
+@click.option("--width", type=_INT, default=400)
+@click.option("--height", type=_INT, default=560)
+@click.option("--seed", type=_INT, default=None)
 def enroll(user_id, template_path, server, config_name, width, height, seed):
     """Encode a template locally, store the vault, destroy the template."""
     cfg = BUILTIN_CONFIGS[config_name]
@@ -259,13 +280,12 @@ def enroll(user_id, template_path, server, config_name, width, height, seed):
 @click.option("--server", envvar="FV_SERVER", required=True,
               help="vault store URL (env: FV_SERVER)")
 @click.option("--config", "config_name", type=click.Choice(sorted(BUILTIN_CONFIGS)),
-              default="fvc-1", show_default=True)
-@click.option("--strategy", "strategy_name", type=click.Choice(VARIANTS),
-              default=RANDOM_SELECTION, show_default=True)
-@click.option("--cap", type=int, default=None)
-@click.option("--width", default=400, show_default=True)
-@click.option("--height", default=560, show_default=True)
-@click.option("--seed", type=int, default=None)
+              default="fvc-1")
+@click.option("--strategy", "strategy_name", type=click.Choice(VARIANTS), default=RANDOM_SELECTION)
+@click.option("--cap", type=_INT, default=None)
+@click.option("--width", type=_INT, default=400)
+@click.option("--height", type=_INT, default=560)
+@click.option("--seed", type=_INT, default=None)
 def auth(user_id, probe_path, server, config_name, strategy_name, cap, width, height, seed):
     """Verify a probe against every vault stored under --id.
 
@@ -294,8 +314,8 @@ def auth(user_id, probe_path, server, config_name, strategy_name, cap, width, he
 @click.option("--store-root", envvar="FV_STORE_ROOT", type=click.Path(file_okay=False),
               default=None, help="directory for vault files (env: FV_STORE_ROOT)")
 @click.option("--memory", "use_memory", is_flag=True, help="volatile in-process store")
-@click.option("--host", default="127.0.0.1", show_default=True)
-@click.option("--port", default=8088, show_default=True, type=click.IntRange(0, 65535))
+@click.option("--host", default="127.0.0.1")
+@click.option("--port", default=8088, type=_IntRange(0, 65535))
 def serve(store_root, use_memory, host, port):
     """Run the vault store service in the foreground."""
     if use_memory == (store_root is not None):

@@ -46,11 +46,6 @@ class Finger:
 @dataclass(frozen=True)
 class Dataset:
     fingers: tuple[Finger, ...]
-    width: int
-    height: int
-
-    def capture_counts(self) -> list[int]:
-        return [len(f.captures) for f in self.fingers]
 
 
 @dataclass(frozen=True)
@@ -199,7 +194,7 @@ def make_synthetic_dataset(
                 )
             )
         fingers.append(Finger(f"finger{f:04d}", tuple(captures)))
-    return Dataset(tuple(fingers), width, height)
+    return Dataset(tuple(fingers))
 
 
 def load_dataset(root, width: int, height: int) -> Dataset:
@@ -214,7 +209,7 @@ def load_dataset(root, width: int, height: int) -> Dataset:
             fingers.append(Finger(finger_dir.name, captures))
     if not fingers:
         raise DatasetTooSmall(f"no finger directories with .xyt captures under {root}")
-    return Dataset(tuple(fingers), width, height)
+    return Dataset(tuple(fingers))
 
 
 Pair = tuple[tuple[int, int], tuple[int, int]]  # ((finger, capture), (finger, capture))
@@ -252,7 +247,7 @@ def all_vs_all_pairs(dataset: Dataset) -> tuple[list[Pair], list[Pair]]:
 def _require_protocol_shape(dataset: Dataset):
     if len(dataset.fingers) < 2:
         raise DatasetTooSmall("need at least 2 fingers")
-    if min(dataset.capture_counts()) < 2:
+    if min(len(f.captures) for f in dataset.fingers) < 2:
         raise DatasetTooSmall("need at least 2 captures per finger")
 
 

@@ -59,18 +59,6 @@ class AttackEstimate:
     bit_security: float
 
 
-def subset_counts(model: SecurityModel) -> tuple[int, int, int]:
-    """(v_s, g_s, c_s): total, all-genuine and remaining subset counts."""
-    k = model.degree + 1
-    if k > model.genuine_count:
-        raise DegreeTooHigh(
-            f"degree {model.degree} needs {k} genuine points, only {model.genuine_count} exist"
-        )
-    v_s = math.comb(model.vault_size, k)
-    g_s = math.comb(model.genuine_count, k)
-    return v_s, g_s, v_s - g_s
-
-
 def float_or_int(value: Fraction) -> float | int:
     """value as a float, or as the nearest int when it is past the float range."""
     try:
@@ -81,7 +69,13 @@ def float_or_int(value: Fraction) -> float | int:
 
 def estimate(model: SecurityModel) -> AttackEstimate:
     """Subset counts, mean draws (v_s + 1) / (g_s + 1), seconds if measured, bits."""
-    v_s, g_s, c_s = subset_counts(model)
+    k = model.degree + 1
+    if k > model.genuine_count:
+        raise DegreeTooHigh(
+            f"degree {model.degree} needs {k} genuine points, only {model.genuine_count} exist"
+        )
+    v_s = math.comb(model.vault_size, k)
+    g_s = math.comb(model.genuine_count, k)
     attempts = Fraction(v_s + 1, g_s + 1)
     seconds = None
     if model.interpolation_seconds is not None:
@@ -89,7 +83,7 @@ def estimate(model: SecurityModel) -> AttackEstimate:
     return AttackEstimate(
         vault_subsets=v_s,
         genuine_subsets=g_s,
-        chaff_subsets=c_s,
+        chaff_subsets=v_s - g_s,
         expected_attempts=attempts,
         expected_seconds=seconds,
         bit_security=math.log2(attempts.numerator) - math.log2(attempts.denominator),

@@ -151,7 +151,7 @@ class FileVaultStore:
     Construction removes the temp files a crashed writer left behind, so
     one store object must own its root.  fetch raises UnreadableVaults,
     carrying the readable documents, when any of the user's files is
-    corrupt.
+    corrupt or holds another user's document.
     """
 
     def __init__(self, root):
@@ -191,10 +191,13 @@ class FileVaultStore:
             for path in paths:
                 raw = path.read_bytes()
                 try:
-                    docs.append(document_from_dict(parse_json(raw)))
+                    doc = document_from_dict(parse_json(raw))
+                    if doc["user_id"] != user_id:
+                        raise ValueError(f"document of user {doc['user_id']!r}")
+                    docs.append(doc)
                 except ValueError as exc:
-                    # bad JSON, bad encoding or a schema violation: the
-                    # request was fine, the store is not
+                    # bad JSON, bad encoding, a schema violation or another
+                    # user's document: the request was fine, the store is not
                     corrupt.append(f"{path.name}: {exc}")
         except OSError as exc:
             raise StorageUnavailable(f"cannot read vaults: {exc}") from exc

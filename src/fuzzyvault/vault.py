@@ -5,8 +5,8 @@ A vault binds a random secret to a minutia template.  The secret plus its
 CRC-32 become the coefficients of a polynomial p over GF(2^32); each
 selected genuine minutia contributes a true point (X, p(X)), and chaff
 points with off-polynomial Y values hide which is which.  Only a reading
-that lands degree+1 genuine points reproduces a coefficient string whose
-trailing CRC checks out.
+that lands degree+1 genuine points reproduces coefficients whose constant
+term is the CRC of the rest.
 """
 
 from __future__ import annotations
@@ -26,7 +26,7 @@ WORD_BYTES = 4
 
 
 class LengthMismatch(ValueError):
-    """Raised when a coefficient bit string has the wrong length."""
+    """Raised when a secret has the wrong length for the polynomial degree."""
 
 
 @dataclass(frozen=True)
@@ -76,45 +76,27 @@ def generate_secret(degree: int, rng: Random) -> bytes:
     return rng.getrandbits(bits).to_bytes(bits // 8, "big")
 
 
-def crc32_append(secret: bytes) -> bytes:
-    """Secret concatenated with the big-endian CRC-32 of its bytes."""
-    return secret + zlib.crc32(secret).to_bytes(WORD_BYTES, "big")
+def secret_polynomial(secret: bytes, degree: int) -> list[int]:
+    """The CRC-protected polynomial a vault binds to the given secret.
 
-
-def split_coefficients(blob: bytes, degree: int) -> list[int]:
-    """Cut a 32*(degree+1)-bit string into polynomial coefficients.
-
-    The first (most significant) 32-bit chunk is the coefficient of
-    x^degree; the returned list is indexed by power, so it comes back
-    reversed.  With crc32_append output the CRC lands in the constant term.
+    The constant term is the CRC-32 of the secret; the secret's big-endian
+    32-bit words follow in reverse, so its first word is the coefficient of
+    x^degree.
 
     Raises:
-        LengthMismatch: blob is not exactly 32*(degree+1) bits.
+        LengthMismatch: the secret is not exactly 32*degree bits.
     """
-    want = WORD_BYTES * (degree + 1)
-    if len(blob) != want:
-        raise LengthMismatch(f"expected {want} bytes for degree {degree}, got {len(blob)}")
-    chunks = [int.from_bytes(blob[i : i + WORD_BYTES], "big") for i in range(0, want, WORD_BYTES)]
-    return chunks[::-1]
-
-
-def join_coefficients(coefficients: Sequence[int]) -> bytes:
-    """Inverse of split_coefficients: highest power first."""
-    return b"".join(c.to_bytes(WORD_BYTES, "big") for c in reversed(coefficients))
-
-
-def secret_polynomial(secret: bytes, degree: int) -> list[int]:
-    """The CRC-protected polynomial a vault binds to the given secret."""
-    return split_coefficients(crc32_append(secret), degree)
+    want = WORD_BYTES * degree
+    if len(secret) != want:
+        raise LengthMismatch(f"expected {want} bytes for degree {degree}, got {len(secret)}")
+    words = [int.from_bytes(secret[i : i + WORD_BYTES], "big") for i in range(0, want, WORD_BYTES)]
+    return [zlib.crc32(secret), *reversed(words)]
 
 
 def secret_from_polynomial(coefficients: Sequence[int]) -> bytes | None:
     """Inverse of secret_polynomial: the secret, or None if the CRC fails."""
-    blob = join_coefficients(coefficients)
-    body, tail = blob[:-WORD_BYTES], blob[-WORD_BYTES:]
-    if zlib.crc32(body) != int.from_bytes(tail, "big"):
-        return None
-    return body
+    body = b"".join(c.to_bytes(WORD_BYTES, "big") for c in reversed(coefficients[1:]))
+    return body if zlib.crc32(body) == coefficients[0] else None
 
 
 def generate_chaff(genuine: Sequence[Minutia], params: VaultParams, rng: Random) -> list[int]:
@@ -153,9 +135,14 @@ def encode_vault(template: Template, params: VaultParams, rng: Random) -> tuple[
     no ordering signal separating genuine from chaff.
 
     Raises:
+        ValueError: the template's image size is not the params' one, in
+            which chaff is placed.
         InsufficientMinutiae: template cannot supply genuine_count minutiae.
         ChaffExhausted: chaff constraints are unsatisfiable.
     """
+    if (template.width, template.height) != (params.width, params.height):
+        raise ValueError(f"template image is {template.width}x{template.height} px, "
+                         f"vault parameters say {params.width}x{params.height}")
     genuine = select_minutiae(template, params.genuine_count, params.points_distance)
     g_reps = [encode_minutia(m) for m in genuine]
     if len(set(g_reps)) != len(g_reps):

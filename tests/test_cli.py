@@ -4,6 +4,7 @@ import json
 import random
 import time
 
+import click
 import pytest
 from click.testing import CliRunner
 
@@ -309,6 +310,35 @@ def test_benchmark_rejects_non_positive_counts(runner, args):
     assert result.exit_code == 2
     assert "Invalid value" in result.stderr
     assert "Traceback" not in result.output
+
+
+# int() and float() read "1_0" as 10 and Arabic-Indic digits as their values
+@pytest.mark.parametrize("args", [
+    ["eval", "--synthetic", "fingers=1_0,captures=2", "--dry-run"],
+    ["eval", "--synthetic", "fingers=10,captures=\u0662", "--dry-run"],
+    ["eval", "--synthetic", "fingers=2,captures=2", "--minutiae", "6_0", "--dry-run"],
+    ["security", "--g", "3_5", "--c", "300", "--n", "8"],
+    ["security", "--g", "35", "--c", "\u0663\u0660\u0660", "--n", "8"],
+    ["security", "--g", "35", "--c", "300", "--n", "8", "--l", "1_0e-3"],
+    ["benchmark", "--n", "\u0668", "--trials", "1"],
+    ["benchmark", "--n", "8", "--trials", "1_0"],
+])
+def test_numbers_must_be_plain_ascii(runner, args):
+    result = runner.invoke(main, args)
+    assert result.exit_code == 2
+    assert "Traceback" not in result.output
+
+
+def test_every_number_option_refuses_what_int_and_float_coerce():
+    numeric = (click.types.IntParamType, click.types.FloatParamType)
+    options = [(command.name, param) for command in main.commands.values()
+               for param in command.params if isinstance(param.type, numeric)]
+    assert len(options) == 32  # every int and float option of every command
+    for name, param in options:
+        assert param.type.convert("10", param, None) == 10, (name, param.name)
+        for value in ("1_0", "\u0663"):
+            with pytest.raises(click.BadParameter):
+                param.type.convert(value, param, None)
 
 
 def test_enroll_and_auth_flow(runner, tmp_path):

@@ -29,12 +29,10 @@ from fuzzyvault.minutiae import Template
 ITERATIVE = SubsetStrategy(ITERATIVE_SELECTION)
 
 
-def shape_dataset(fingers, captures, width=400, height=560):
+def shape_dataset(fingers, captures):
     """A dataset with empty templates; enough for pair enumeration."""
-    empty = Template((), width, height)
-    return Dataset(
-        tuple(Finger(f"f{i}", (empty,) * captures) for i in range(fingers)), width, height
-    )
+    empty = Template((), 400, 560)
+    return Dataset(tuple(Finger(f"f{i}", (empty,) * captures) for i in range(fingers)))
 
 
 def test_synth_template_deterministic_and_in_bounds():

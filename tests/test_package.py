@@ -5,6 +5,7 @@ import importlib
 import importlib.util
 import inspect
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -12,7 +13,8 @@ from pathlib import Path
 import fuzzyvault
 from fuzzyvault.store import FileVaultStore, MemoryVaultStore
 
-BENCH_DIR = Path(__file__).resolve().parent.parent / "vaultbench"
+ROOT = Path(__file__).resolve().parent.parent
+BENCH_DIR = ROOT / "vaultbench"
 
 
 def test_every_exported_name_resolves():
@@ -80,3 +82,16 @@ def test_benchmark_imports_resolve():
                     if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
                     and node.value.id in modules and not hasattr(modules[node.value.id], node.attr)]
     assert missing == []
+
+
+def test_readme_python_imports_resolve():
+    # the Library example is documentation, so removing a public name it
+    # imports would otherwise break it unnoticed
+    names, missing = 0, []
+    for block in re.findall(r"```python\n(.*?)```", (ROOT / "README.md").read_text(), re.S):
+        for node in ast.walk(ast.parse(block)):
+            if isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "fuzzyvault":
+                names += len(node.names)
+                missing += [f"{node.module}.{alias.name}" for alias in node.names
+                            if _attribute(node.module, alias.name) is None]
+    assert names > 0 and missing == []

@@ -12,17 +12,16 @@ from fuzzyvault.security import (
     SecurityModel,
     estimate,
     simulate_attack,
-    subset_counts,
 )
 from fuzzyvault.evaluation import synth_template
 from fuzzyvault.vault import VaultParams, encode_vault, genuine_indices
 
 
 def test_subset_counts_closed_form():
-    v_s, g_s, c_s = subset_counts(SecurityModel(35, 300, 8))
-    assert v_s == math.comb(335, 9)
-    assert g_s == math.comb(35, 9)
-    assert c_s == v_s - g_s
+    est = estimate(SecurityModel(35, 300, 8))
+    assert est.vault_subsets == math.comb(335, 9)
+    assert est.genuine_subsets == math.comb(35, 9)
+    assert est.chaff_subsets == est.vault_subsets - est.genuine_subsets
 
 
 def test_expected_attempts_published_value_n8():
@@ -37,9 +36,8 @@ def test_expected_attempts_published_value_n12():
 
 def test_expected_attempts_exact_rational_identity():
     for g, c, n in [(35, 300, 8), (30, 340, 8), (5, 20, 2), (10, 40, 3)]:
-        model = SecurityModel(g, c, n)
-        v_s, g_s, _ = subset_counts(model)
-        e = estimate(model).expected_attempts
+        est = estimate(SecurityModel(g, c, n))
+        v_s, g_s, e = est.vault_subsets, est.genuine_subsets, est.expected_attempts
         assert e * (g_s + 1) == v_s + 1  # no float round-off anywhere
         assert 1 <= e <= v_s
 
@@ -50,7 +48,7 @@ def test_no_chaff_means_one_attempt():
 
 def test_degree_too_high():
     with pytest.raises(DegreeTooHigh):
-        subset_counts(SecurityModel(8, 300, 8))  # needs n+1 = 9 genuine
+        estimate(SecurityModel(8, 300, 8))  # needs n+1 = 9 genuine
 
 
 def expected_seconds(g, c, n, seconds):

@@ -333,6 +333,20 @@ def test_file_store_corrupt_document_keeps_the_readable_ones(tmp_path):
     assert info.value.unreadable == 1
 
 
+def test_file_store_counts_a_misfiled_document_as_unreadable(tmp_path):
+    # a copy of bob's file in alice's directory is the store's fault, as a corrupt file is
+    root = tmp_path / "vaults"
+    store = FileVaultStore(root)
+    own = store.put(make_doc(user_id="alice"))
+    bobs = store.put(make_doc(user_id="bob"))
+    (root / "alice" / f"{bobs}.json").write_bytes((root / "bob" / f"{bobs}.json").read_bytes())
+    with pytest.raises(UnreadableVaults, match="corrupt vault file.*'bob'") as info:
+        store.fetch("alice")
+    assert [d["id"] for d in info.value.readable] == [own]
+    assert info.value.unreadable == 1
+    assert [d["id"] for d in store.fetch("bob")] == [bobs]
+
+
 def test_file_store_unavailable_root(tmp_path):
     blocker = tmp_path / "blocker"
     blocker.write_text("")
@@ -776,6 +790,28 @@ def test_one_corrupt_vault_leaves_the_others_readable(tmp_path, live):
     assert verify(probe_path, "ivan", live.url, small_params(),
                   MatchParams(12, 12, 12, 15), ITERATIVE, random.Random(100))
     assert not probe_path.exists()  # a readable vault unlocked: a decision
+
+
+def test_a_misfiled_vault_does_not_block_the_owners_accept(tmp_path, live):
+    finger = synth_template(106, 40)
+    enroll_path = tmp_path / "enroll.xyt"
+    write_template(enroll_path, finger)
+    own, _ = enroll(enroll_path, "alice", live.url, small_params(), random.Random(107))
+    write_template(enroll_path, synth_template(108, 40))
+    bobs, _ = enroll(enroll_path, "bob", live.url, small_params(), random.Random(109))
+    vaults = tmp_path / "vaults"
+    (vaults / "alice" / f"{bobs}.json").write_bytes((vaults / "bob" / f"{bobs}.json").read_bytes())
+
+    resp = requests.get(f"{live.url}/vaults", params={"user_id": "alice"}, timeout=5)
+    assert resp.status_code == 200
+    assert [v["id"] for v in resp.json()["vaults"]] == [own]
+    assert resp.json()["unreadable"] == 1
+
+    probe_path = tmp_path / "probe.xyt"
+    write_template(probe_path, finger)
+    assert verify(probe_path, "alice", live.url, small_params(),
+                  MatchParams(12, 12, 12, 15), ITERATIVE, random.Random(110))
+    assert not probe_path.exists()  # alice's own vault unlocked: a decision
 
 
 def test_impostor_with_a_corrupt_vault_gets_no_decision(tmp_path, live):

@@ -19,15 +19,12 @@ from fuzzyvault.vault import (
     VaultParams,
     VaultPoint,
     check_point_pairs,
-    crc32_append,
     encode_vault,
     generate_chaff,
     generate_secret,
     genuine_indices,
-    join_coefficients,
     secret_from_polynomial,
     secret_polynomial,
-    split_coefficients,
     vault_from_dict,
     vault_to_dict,
 )
@@ -48,48 +45,64 @@ def test_secret_deterministic_per_seed():
     assert generate_secret(8, random.Random(5)) != generate_secret(8, random.Random(6))
 
 
+def test_secret_polynomial_known_answer():
+    # pinned coefficients: stored vaults depend on this layout.  The CRC-32
+    # of the secret is the constant term, then the secret's big-endian
+    # words, last first, so the first word is the coefficient of x^degree
+    assert secret_polynomial(b"123456789abc", 3) == [0xBDB0C0E4, 0x39616263, 0x35363738,
+                                                     0x31323334]
+    assert secret_polynomial(bytes(range(1, 9)), 2) == [0x3FCA88C5, 0x05060708, 0x01020304]
+    assert secret_from_polynomial([0x3FCA88C5, 0x05060708, 0x01020304]) == bytes(range(1, 9))
+    assert secret_from_polynomial([0x3FCA88C4, 0x05060708, 0x01020304]) is None
+
+
 def test_crc_append_empty():
-    assert crc32_append(b"") == b"\x00\x00\x00\x00"
+    assert secret_polynomial(b"", 0) == [0]  # the CRC-32 of no bytes
 
 
 def test_crc_append_standard_check_value():
-    # the classic CRC-32 check string
-    out = crc32_append(b"123456789")
-    assert out[:-4] == b"123456789"
-    assert out[-4:] == bytes.fromhex("cbf43926")
+    # the classic CRC-32 check string; 9 bytes, so it is read back as a
+    # constant term rather than built into one
+    assert zlib.crc32(b"123456789") == 0xCBF43926
+    body = b"123456789abc"
+    assert secret_from_polynomial([zlib.crc32(body), 0x39616263, 0x35363738, 0x31323334]) == body
 
 
 def test_crc_append_adds_four_bytes():
+    # one 32-bit word more than the secret: the CRC
     rng = random.Random(2)
     for _ in range(20):
-        blob = rng.randbytes(rng.randrange(0, 64))
-        assert len(crc32_append(blob)) == len(blob) + 4
+        degree = rng.randrange(1, 16)
+        coeffs = secret_polynomial(rng.randbytes(4 * degree), degree)
+        assert len(coeffs) == degree + 1
+        assert all(0 <= c < 2**32 for c in coeffs)
 
 
 def test_split_zero_bits():
-    assert split_coefficients(b"\x00" * 8, 1) == [0, 0]
+    assert secret_polynomial(bytes(8), 2)[1:] == [0, 0]
+    assert secret_polynomial(bytes(4), 1) == [0x2144DF1C, 0]
 
 
 def test_split_windows_oracle():
     rng = random.Random(3)
-    blob = rng.randbytes(36)  # 288 bits, n=8
-    coeffs = split_coefficients(blob, 8)
-    assert len(coeffs) == 9
-    windows = [int.from_bytes(blob[i : i + 4], "big") for i in range(0, 36, 4)]
+    secret = rng.randbytes(32)  # 256 bits, n=8
+    coeffs = secret_polynomial(secret, 8)
+    windows = [int.from_bytes(secret[i : i + 4], "big") for i in range(0, 32, 4)]
     # first window is the most significant chunk: the x^8 coefficient
-    assert coeffs == list(reversed(windows))
+    assert coeffs == [zlib.crc32(secret), *reversed(windows)]
 
 
 def test_split_join_inverse():
     rng = random.Random(4)
     for n in (1, 8, 12):
-        blob = rng.randbytes(4 * (n + 1))
-        assert join_coefficients(split_coefficients(blob, n)) == blob
+        secret = rng.randbytes(4 * n)
+        assert secret_from_polynomial(secret_polynomial(secret, n)) == secret
 
 
 def test_split_rejects_wrong_length():
-    with pytest.raises(LengthMismatch):
-        split_coefficients(b"\x00" * 7, 1)
+    for secret, degree in [(b"\x00" * 3, 1), (b"\x00" * 8, 1), (b"\x00" * 7, 2), (b"", 1)]:
+        with pytest.raises(LengthMismatch):
+            secret_polynomial(secret, degree)
 
 
 def test_secret_polynomial_embeds_crc_as_constant_term():
@@ -131,6 +144,16 @@ def test_encode_vault_size_and_distinct_abscissas():
     assert len(vault.points) == 370
     xs = [pt.X for pt in vault.points]
     assert len(set(xs)) == len(xs)
+
+
+def test_encode_vault_refuses_a_template_of_another_image_size():
+    # chaff is placed in the params' image, genuine minutiae come from the
+    # template's: in a 300x300 vault, a 400x560 finger's points past 300
+    # would all be genuine
+    rng = random.Random(10)
+    with pytest.raises(ValueError, match="400x560 px, vault parameters say 300x300"):
+        encode_vault(synth_template(3, 60), VaultParams(8, 30, 200, 10.0, 300, 300), rng)
+    assert rng.getstate() == random.Random(10).getstate()  # refused before any draw
 
 
 def test_encode_vault_deterministic():
