@@ -44,7 +44,6 @@ from .security import (
     AttackEstimate,
     SecurityModel,
     estimate,
-    simulate_attack,
 )
 from .vault import (
     Vault,
@@ -90,7 +89,6 @@ __all__ = [
     "read_template",
     "run_fvc_protocol",
     "select_minutiae",
-    "simulate_attack",
     "synth_template",
     "try_unlock",
     "vault_from_dict",

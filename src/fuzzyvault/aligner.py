@@ -10,19 +10,18 @@ rotated on the sensor.  All orientation comparisons are circular.
 A table holds its minutiae's absolute x, y and theta and the cos/sin of
 every basis angle, computed once per table (numpy's vectorized cos/sin
 may round an element differently depending on its position in the
-array, so a basis frame indexes them instead of recomputing them).  A
-row, the whole minutia list in one basis frame, is computed when asked
-for and not kept.
+array, so a basis frame indexes them instead of recomputing them).  It
+refuses a theta outside [0, 360), the range the kernel's and the basis
+gate's exactness rest on.  A row, the whole minutia list in one basis
+frame, is computed when asked for; a decode's probe table keeps them all.
 
-The threshold kernel builds no vault rows.  The vault table buckets its
-absolute minutiae once, in an (x, y, theta) grid; a kernel call takes a
-list of (probe basis, vault basis) pairs and maps each pair's probe frame
-into the vault image, so each (pair, probe minutia) reads the one cell
-around its image point.  Cells only choose which triples to test: each
-gets its vault coordinates and slack with the float64 operations of a
-dense evaluation, and only the matches come back, sparse, with their
-exact margins, because callers only read which points match and in
-what order.
+The threshold kernel builds no vault rows.  The vault table holds its
+minutiae once per decode in the cell units of an (x, y, theta) grid; a
+kernel call takes a list of (probe basis, vault basis) pairs, maps each
+pair's probe row into the vault image in cell units and reads the one
+cell each (pair, probe minutia) lands in.  Cells only choose which
+triples to test: each gets its slack with the float64 operations of a
+dense evaluation, and only the matches come back, sparse, exact.
 """
 
 from __future__ import annotations
@@ -65,52 +64,40 @@ class _VaultGrid:
     span / _GRID_CELLS), span being the larger extent of the minutiae.
     The theta cells split the circle evenly, each at least theta_thres +
     _CELL_PAD wide; when fewer than three fit there is one theta cell.
-    Each minutia is entered into its own cell and the 26 around it (the 8
-    around it with one theta cell), so reading the cell of a query finds
-    every minutia less than one cell away from it on each axis.  Queries
-    past the grid's border read a last, empty cell.
+    In cell units, u = x / edge - x0, v = y / edge - y0 and w = theta /
+    width, a point lies in cell (floor(u), floor(v), floor(w) mod nt); x0
+    and y0 leave a spare cell on each side of the minutiae, and past those
+    x slab nx - 1 and y row ny - 1 stay empty.  Each minutia is entered
+    into its own cell and the 26 around it (the 8 around it with one theta
+    cell), so reading the cell of a query finds every minutia less than one
+    cell away from it on each axis; cell c's are members[bounds[c]:bounds[c + 1]].
     """
 
-    def __init__(self, xs, ys, thetas, params: MatchParams):
+    def __init__(self, table: GeometricTable, params: MatchParams):
         self.params = params
         self.edge = max(math.hypot(params.x_thres, params.y_thres) + _CELL_PAD,
-                        max(np.ptp(xs), np.ptp(ys)) / _GRID_CELLS)
+                        max(np.ptp(table.xs), np.ptp(table.ys)) / _GRID_CELLS)
         fit = int(360.0 // (params.theta_thres + _CELL_PAD))
         self.nt = min(fit, _GRID_CELLS) if fit >= 3 else 1
         self.width = 360.0 / self.nt
-        # one spare cell on each side
-        self.x0 = np.floor(xs.min() / self.edge) - 1.0
-        self.y0 = np.floor(ys.min() / self.edge) - 1.0
-        self.nx = np.floor(xs.max() / self.edge) - self.x0 + 2.0
-        self.ny = np.floor(ys.max() / self.edge) - self.y0 + 2.0
-        self.empty = int(self.nx * self.ny * self.nt)
+        self.u, self.v = (a / self.edge - np.floor(a.min() / self.edge) + 1.0 for a in (table.xs, table.ys))
+        self.w = table.thetas / self.width
+        self.cos, self.sin = table.cos / self.edge, table.sin / self.edge  # a basis frame's axes
+        # floor(w) is in [0, nt] for a minutia and in [0, 2 nt] for a query: this folds it
+        self.wrap = np.arange(2 * self.nt + 1) % self.nt
+        cx, cy, ct = np.floor(self.u), np.floor(self.v), self.wrap[self.w.astype(np.intp)]
+        self.nx, self.ny = int(cx.max()) + 3, int(cy.max()) + 3
         near = np.array([-1.0, 0.0, 1.0])
         near_t = near if self.nt >= 3 else np.zeros(1)
-        cx, cy, ct = self._axes(xs, ys, thetas)
         cells = (((cx[:, None] + near)[:, :, None, None] * self.ny
                   + (cy[:, None] + near)[:, None, :, None]) * self.nt
                  + ((ct[:, None] + near_t) % self.nt)[:, None, None, :])
-        cells = cells.reshape(len(xs), -1).astype(np.intp)
+        cells = cells.reshape(len(cx), -1).astype(np.intp)
         # the order inside a cell is free: match_margins_many returns one
         # (pair, point, margin) row per (pair, point), sorted by all three
         self.members = np.argsort(cells.ravel()) // cells.shape[1]
-        self.counts = np.bincount(cells.ravel(), minlength=self.empty + 1)
-        self.starts = np.cumsum(self.counts) - self.counts
-
-    def _axes(self, x, y, theta):
-        return (np.floor(x / self.edge) - self.x0, np.floor(y / self.edge) - self.y0,
-                np.floor(theta / self.width).astype(np.intp) % self.nt)
-
-    def cells(self, x, y, theta) -> np.ndarray:
-        """The flat cell index of each query point."""
-        cx, cy, ct = self._axes(x, y, theta)
-        inside = (cx >= 0.0) & (cx < self.nx) & (cy >= 0.0) & (cy < self.ny)
-        cx *= self.ny  # (cx * ny + cy) * nt + ct, in place
-        cx += cy
-        cx *= self.nt
-        cx += ct
-        cx[~inside] = self.empty
-        return cx.astype(np.intp)
+        self.bounds = np.cumsum(np.bincount(cells.ravel() + 1, minlength=self.nx * self.ny * self.nt + 1))
+        self.occupied = self.bounds[1:] > self.bounds[:-1]
 
 
 class GeometricTable:
@@ -119,20 +106,23 @@ class GeometricTable:
     ``rows(bases)`` computes the list in each given basis frame: row i
     holds every minutia transformed into the frame of basis i, so
     ``rows([i])[0, i]`` is always the exact zero transform; the last axis
-    is x/y/theta.  ``grid(params)`` is the absolute minutiae bucketed for
-    the threshold kernel, built on first use and kept while the same
-    params are asked for.
+    is x/y/theta.  ``frames()`` is every row, and ``grid(params)`` the
+    absolute minutiae bucketed for the threshold kernel; each is built on
+    first use and kept, the grid while the same params are asked for.
     """
 
     def __init__(self, points):
-        """points: one (x, y, theta) row per minutia, theta in degrees."""
+        """points: one (x, y, theta) row per minutia, theta in degrees in [0, 360)."""
         pts = np.asarray(points, dtype=float)
         if len(pts) == 0:
             raise ValueError("at least one minutia required")
         self.xs, self.ys, self.thetas = np.array(pts.T)
+        if not 0.0 <= self.thetas.min() <= self.thetas.max() < 360.0:  # NaN fails too
+            raise ValueError("every theta must lie in [0, 360)")
         b = np.radians(self.thetas)
         self.cos, self.sin = np.cos(b), np.sin(b)
         self._grid: _VaultGrid | None = None
+        self._frames: tuple[np.ndarray, ...] | None = None
 
     def __len__(self) -> int:
         return len(self.xs)
@@ -146,14 +136,24 @@ class GeometricTable:
         return np.stack([cb * dx + sb * dy, -sb * dx + cb * dy,
                          (self.thetas[None, :] - self.thetas[idx, None]) % 360.0], axis=-1)
 
+    def frames(self) -> tuple[np.ndarray, ...]:
+        """x, y and theta of every row, each of shape (k, k) and indexed [point, basis]."""
+        if self._frames is None:
+            self._frames = tuple(np.ascontiguousarray(self.rows(np.arange(len(self))).T))
+        return self._frames
+
     def grid(self, params: MatchParams) -> _VaultGrid:
         if self._grid is None or self._grid.params != params:
-            self._grid = _VaultGrid(self.xs, self.ys, self.thetas, params)
+            self._grid = _VaultGrid(self, params)
         return self._grid
 
 
 def build_geometric_table(points) -> GeometricTable:
-    return GeometricTable(points)
+    """A table of (x, y, theta) rows, each theta first folded into [0, 360) as fold_angle does."""
+    pts = np.array(points, dtype=float).reshape(-1, 3)
+    folded = pts[:, 2] % 360.0
+    pts[:, 2] = np.where(folded < 360.0, folded, 0.0)
+    return GeometricTable(pts)
 
 
 def match_margins_many(
@@ -174,60 +174,59 @@ def match_margins_many(
     (pair, point), sorted by pair, then margin, then point, so each pair's
     run is its candidate set, strongest first with ties in vault order.
 
-    No vault row is built.  Each (pair, p) maps P[p] into the vault
-    image, q = v_b + R(theta_b) P[p] with orientation theta_b + P[p].theta,
-    and reads the one cell of the vault table's grid that holds q.  Only
-    the (pair, p, j) triples that read turns up get V_b[j], computed with
-    the float64 expressions of GeometricTable.rows, and then the exact slack.
+    No vault row is built.  Each (pair, p) maps P[p] into the vault image
+    in the grid's cell units, u = u_b + (cos(theta_b) P[p].x - sin(theta_b)
+    P[p].y) / edge, v likewise and w = w_b + P[p].theta / width, and reads
+    the cell it lands in.  The (pair, p, j) triples that read turns up get
+    V_b[j], with the float64 expressions of GeometricTable.rows, and the
+    exact slack.
 
     The result is exact.  V_b[j] - P[p] is R(-theta_b)(v_j - q) up to
-    float64 rounding, about 1e-12 of a pixel for 11-bit coordinates, and a
-    rotation keeps lengths; so a pair within x_thres and y_thres lies
-    within hypot(x_thres, y_thres) plus that rounding of q on each image
-    axis, and a pair within theta_thres lies within theta_thres plus
-    rounding of q's orientation on the circle.  Each is less than a cell
-    edge, which exceeds the radius by _CELL_PAD, so floor(v / edge) and
-    floor(q / edge) differ by at most one on every axis (circularly for
-    theta), and the cells each vault minutia is entered into, its own and
-    all those around it, include the one q reads.  Every matching triple is
-    therefore tested, and each (pair, point) keeps a dense evaluation's
-    minimum; every value is elementwise, the same in any batch of pairs.
+    rounding, q being the image point, and a rotation keeps lengths; so a
+    matching pair lies within hypot(x_thres, y_thres) of q on each image
+    axis and within theta_thres of q's orientation on the circle.  In cell
+    units that is short of one by _CELL_PAD / edge (or / width), far more
+    than the rounding of 11-bit coordinates and of angles in [0, 360), so
+    floor(u), floor(v) and floor(w) of the two differ by at most one
+    (circularly for w), and the cells each vault minutia is entered into
+    include the one the query reads.  Every matching triple is tested, and
+    each (pair, point) keeps a dense evaluation's minimum, the same in any
+    batch of pairs.
     """
-    T = vault_table
-    b = np.asarray(vault_bases, dtype=np.intp)
-    distinct, slot = np.unique(np.broadcast_to(probe_bases, b.shape), return_inverse=True)
-    P = probe_table.rows(distinct)  # (distinct probe bases, kp, 3); pair i has row slot[i]
-    grid = T.grid(params)
-    cb, sb = T.cos[b, None], T.sin[b, None]
-    px, py = P[slot, :, 0], P[slot, :, 1]
-    # each pair's probe frame in the vault image: (pairs, kp)
-    qx = T.xs[b, None] + (cb * px - sb * py)
-    qy = T.ys[b, None] + (sb * px + cb * py)
-    del px, py
-    qt = T.thetas[b, None] + P[slot, :, 2]  # the grid wraps the theta cell index
-    cell = grid.cells(qx.ravel(), qy.ravel(), qt.ravel())
-    del qx, qy, qt
+    T, grid = vault_table, vault_table.grid(params)
+    pb, b = np.broadcast_arrays(np.asarray(probe_bases, dtype=np.intp),
+                                np.asarray(vault_bases, dtype=np.intp))
+    px, py, pt = probe_table.frames()
+    # query (p, i), probe minutia p of pair i, in cell units: (kp, pairs) arrays
+    gx, gy, cos, sin = px[:, pb], py[:, pb], grid.cos[b], grid.sin[b]
+    # astype truncates: floor, but (-1, 0) reads spare cell 0, whose minutiae are all too
+    # far; as unsigned, a query left of or below the grid is past it, in the empty slab or row
+    cx = np.minimum((gx * cos - gy * sin + grid.u[b]).astype(np.intp).view(np.uintp), grid.nx - 1)
+    cy = np.minimum((gx * sin + gy * cos + grid.v[b]).astype(np.intp).view(np.uintp), grid.ny - 1)
+    del gx, gy
+    ct = grid.wrap[(pt[:, pb] * (1.0 / grid.width) + grid.w[b]).astype(np.intp)]
+    cell = ((cx.view(np.intp) * grid.ny + cy.view(np.intp)) * grid.nt + ct).ravel()
+    del cx, cy, ct
     # one (pair, probe minutia, vault point) triple per member of each cell read
-    k = grid.counts[cell]
-    query = np.repeat(np.arange(len(cell)), k)
-    pos = np.arange(len(query)) + np.repeat(grid.starts[cell] - (np.cumsum(k) - k), k)
-    j = grid.members[pos]
-    row, p = np.divmod(query, len(probe_table))
-    vb, pp = b[row], P[slot[row], p]
-    dx, dy = T.xs[j] - T.xs[vb], T.ys[j] - T.ys[vb]
-    c, s = T.cos[vb], T.sin[vb]
-    ex = np.abs((c * dx + s * dy) - pp[:, 0]) - params.x_thres
-    ey = np.abs((-s * dx + c * dy) - pp[:, 1]) - params.y_thres
-    # both angles are in [0, 360], so min(d, 360 - d) is the circular distance
-    et = np.abs((T.thetas[j] - T.thetas[vb]) % 360.0 - pp[:, 2])
-    et = np.minimum(et, 360.0 - et) - params.theta_thres
-    slack = np.maximum(np.maximum(ex, ey), et)
+    hit = np.flatnonzero(grid.occupied[cell])
+    stop = grid.bounds[cell[hit] + 1]
+    k = stop - grid.bounds[cell[hit]]
+    q = np.repeat(np.arange(len(hit)), k)  # the query of each triple, among those hit
+    j = grid.members[np.arange(len(q)) + (stop - np.cumsum(k))[q]]
+    p, row = np.divmod(hit[q], len(b))
+    fp, vb = p * len(probe_table) + pb[row], b[row]
+    dx, dy, c, s = T.xs[j] - T.xs[vb], T.ys[j] - T.ys[vb], T.cos[vb], T.sin[vb]
+    d = T.thetas[j] - T.thetas[vb]
+    d += 360.0 * (d < 0.0)  # (theta_j - theta_b) % 360.0 for angles in [0, 360)
+    et = np.abs(d - pt.ravel()[fp])  # both angles in [0, 360]: min(et, 360 - et) is circular
+    slack = np.maximum(np.maximum(np.abs((c * dx + s * dy) - px.ravel()[fp]) - params.x_thres,
+                                  np.abs((-s * dx + c * dy) - py.ravel()[fp]) - params.y_thres),
+                       np.minimum(et, 360.0 - et) - params.theta_thres)
     hit = slack <= 0.0
     row, j, slack = row[hit], j[hit], slack[hit]
-    key = row * len(T) + j  # stable sorts follow, minor key first
-    first = np.argsort(slack, kind="stable")
-    first = first[np.argsort(key[first], kind="stable")]  # by (pair, point, margin)
-    keep = first[np.diff(key[first], prepend=-1) != 0]  # each (pair, point)'s minimum
-    keep = keep[np.argsort(slack[keep], kind="stable")]
-    keep = keep[np.argsort(row[keep], kind="stable")]  # by (pair, margin, point)
+    key = row * len(T) + j
+    first = np.lexsort((slack, key))  # by (pair, point, margin)
+    key = key[first]
+    keep = first[np.concatenate((key[:1] >= 0, key[1:] != key[:-1]))]  # each (pair, point)'s minimum
+    keep = keep[np.lexsort((slack[keep], row[keep]))]  # by (pair, margin, point)
     return row[keep], j[keep], slack[keep]

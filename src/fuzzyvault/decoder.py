@@ -167,13 +167,13 @@ def decode_vault(
     vtable = build_geometric_table(decode_minutiae([pt.X for pt in vault.points]))
     ptable = build_geometric_table([(m.x, m.y, m.theta) for m in probe_sel])
 
-    d = np.abs(ptable.thetas[:, None] - vtable.thetas[None, :]) % 360.0
+    # both angles are in [0, 360), which the tables check, so |d| needs no % 360.0
+    d = np.abs(ptable.thetas[:, None] - vtable.thetas[None, :])
     basis_ok = np.minimum(d, 360.0 - d) <= match_params.theta_basis_thres
-
+    del d
+    probe_bases, vault_bases = np.nonzero(basis_ok)  # every gated pair, probe basis by basis
     through = np.cumsum(np.count_nonzero(basis_ok, axis=1))  # gated pairs through each basis
-    bases_tried = 0
-    sets_evaluated = 0
-    interpolations = 0
+    bases_tried = sets_evaluated = interpolations = 0
 
     def result(matched, secret):
         return MatchResult(
@@ -187,14 +187,15 @@ def decode_vault(
 
     first, run = 0, 1
     while first < len(probe_sel):
-        # up to run probe bases, cut at the one that brings the call to _PAIRS_PER_CALL pairs
-        last = min(first + run, int(np.searchsorted(through, bases_tried + _PAIRS_PER_CALL)) + 1)
-        probe_bases, vault_bases = np.nonzero(basis_ok[first:last])
-        probe_bases, first, run = probe_bases + first, last, 2 * run
-        if vault_bases.size == 0:
+        # up to run more probe bases, cut at the one that brings the call to _PAIRS_PER_CALL pairs
+        first = min(first + run, len(through),
+                    int(np.searchsorted(through, bases_tried + _PAIRS_PER_CALL)) + 1)
+        stop, run = int(through[first - 1]), 2 * run  # the gated pairs of every basis before first
+        if stop == bases_tried:
             continue
-        pair, point, _ = match_margins_many(vtable, ptable, probe_bases, vault_bases, match_params)
-        bounds = np.searchsorted(pair, np.arange(vault_bases.size + 1))  # each pair's matches
+        pair, point, _ = match_margins_many(vtable, ptable, probe_bases[bases_tried:stop],
+                                            vault_bases[bases_tried:stop], match_params)
+        bounds = np.searchsorted(pair, np.arange(stop - bases_tried + 1))  # each pair's matches
         # only pairs with at least degree+1 candidates can unlock
         for k in np.flatnonzero(np.diff(bounds) >= size):
             sets_evaluated += 1
@@ -206,5 +207,5 @@ def decode_vault(
                 if secret is not None:
                     bases_tried += int(k) + 1
                     return result(True, secret)
-        bases_tried += vault_bases.size
+        bases_tried = stop
     return result(False, None)

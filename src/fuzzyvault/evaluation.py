@@ -26,8 +26,8 @@ from typing import Callable
 
 from .aligner import MatchParams
 from .decoder import DEFAULT_STRATEGY, SubsetStrategy, decode_vault
-from .minutiae import (ChaffExhausted, InsufficientMinutiae, Minutia, Template, place_spaced,
-                       read_template)
+from .minutiae import (ChaffExhausted, InsufficientMinutiae, Minutia, Template, fold_angle,
+                       place_spaced, read_template)
 from .vault import VaultParams, encode_vault
 
 DEFAULT_MIN_DISTANCE = 8.0  # spacing between synthetic minutiae, px
@@ -152,7 +152,7 @@ def perturb_template(
         px, py = m.x - cx, m.y - cy
         x = cx + cr * px - sr * py + tx + rng.uniform(-jitter, jitter)
         y = cy + sr * px + cr * py + ty + rng.uniform(-jitter, jitter)
-        theta = (m.theta + rotation + rng.uniform(-theta_jitter, theta_jitter)) % 360.0
+        theta = fold_angle(m.theta + rotation + rng.uniform(-theta_jitter, theta_jitter))
         xi, yi = round(x), round(y)
         if 0 <= xi < template.width and 0 <= yi < template.height:
             kept.append(Minutia(xi, yi, theta, m.quality))

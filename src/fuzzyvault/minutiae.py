@@ -68,9 +68,21 @@ class Template:
                 raise OutOfBounds(f"minutia ({m.x}, {m.y}) outside {self.width}x{self.height}")
             if m.x > COORD_MAX or m.y > COORD_MAX:
                 raise OutOfBounds(f"minutia ({m.x}, {m.y}) exceeds the 11-bit coordinate range")
+            if not 0.0 <= m.theta < 360.0:  # NaN fails too
+                raise OutOfBounds(f"minutia theta {m.theta} outside [0, 360)")
 
     def __len__(self) -> int:
         return len(self.minutiae)
+
+
+def fold_angle(theta: float) -> float:
+    """theta in degrees, folded into [0, 360).
+
+    theta % 360.0 alone rounds an angle just below 0, such as -1e-20, up to
+    360.0; that is 0.0 here.
+    """
+    theta %= 360.0
+    return 0.0 if theta == 360.0 else theta
 
 
 def parse_template(text: str, width: int, height: int) -> Template:
@@ -103,7 +115,7 @@ def parse_template(text: str, width: int, height: int) -> Template:
             raise ParseError(f"line {lineno}: non-finite angle in {line!r}")
         if not (0 <= x < width and 0 <= y < height):
             raise OutOfBounds(f"line {lineno}: ({x}, {y}) outside {width}x{height}")
-        minutiae.append(Minutia(x, y, theta % 360.0, quality))
+        minutiae.append(Minutia(x, y, fold_angle(theta), quality))
     return Template(tuple(minutiae), width, height)
 
 

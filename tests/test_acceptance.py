@@ -28,10 +28,10 @@ from fuzzyvault.decoder import (
 from fuzzyvault.evaluation import BUILTIN_CONFIGS, perturb_template, run_fvc_protocol, \
     make_synthetic_dataset, synth_template
 from fuzzyvault.minutiae import Minutia, Template
-from fuzzyvault.security import simulate_attack
 from fuzzyvault.service import VaultStoreService
 from fuzzyvault.store import FileVaultStore, validate_document_dict
 from fuzzyvault.vault import VaultParams, encode_vault, genuine_indices
+from security_oracle import simulate_attack
 
 # Capped lexicographic enumeration: at the true basis the margin sort
 # places every genuine candidate ahead of any chaff (chaff is forced to

@@ -20,9 +20,11 @@ from aligner_oracle import (
     table_row,
     xyt,
 )
-from fuzzyvault.aligner import _CELL_PAD, MatchParams, build_geometric_table, match_margins_many
-from fuzzyvault.minutiae import Minutia
-from fuzzyvault.vault import VaultPoint
+from fuzzyvault.aligner import (_CELL_PAD, GeometricTable, MatchParams, build_geometric_table,
+                                match_margins_many)
+from fuzzyvault.evaluation import BUILTIN_CONFIGS, synth_template
+from fuzzyvault.minutiae import Minutia, decode_minutiae, select_minutiae
+from fuzzyvault.vault import VaultPoint, encode_vault
 
 
 def rotate_about(m, cx, cy, deg, dx=0.0, dy=0.0):
@@ -369,3 +371,54 @@ def test_rows_built_on_demand_agree_with_eager_oracle(ms, data):
         for row, b in enumerate(bases):
             assert np.all(got[row, b] == 0.0)  # exact zero transform on the diagonal
     assert np.array_equal(table_coords(table), expect)
+
+
+def test_kernel_agrees_with_dense_oracle_at_the_benchmark_shape():
+    """An fvc-1 vault, a 30-minutia impostor probe and one 256-pair call
+    across several probe bases, as a reject sweep makes them."""
+    cfg = BUILTIN_CONFIGS["fvc-1"]
+    params = cfg.match_params()
+    vault, _ = encode_vault(synth_template(31, 60), cfg.vault_params(), random.Random(32))
+    vt = build_geometric_table(decode_minutiae([pt.X for pt in vault.points]))
+    probe = select_minutiae(synth_template(33, 60), 30, cfg.points_distance)
+    ptab = table_of(probe)
+    d = np.abs(ptab.thetas[:, None] - vt.thetas[None, :]) % 360.0
+    probe_bases, vault_bases = np.nonzero(np.minimum(d, 360.0 - d) <= params.theta_basis_thres)
+    probe_bases, vault_bases = probe_bases[:256], vault_bases[:256]
+    assert len(vault_bases) == 256 and len(np.unique(probe_bases)) > 3
+    got = match_margins_many(vt, ptab, probe_bases, vault_bases, params)
+    want = dense_match_margins_many(vt, ptab, probe_bases, vault_bases, params)
+    assert len(got[0]) > 0
+    for g, w in zip(got, want):
+        assert np.array_equal(g, w)
+
+
+def test_kernel_agrees_with_dense_oracle_on_a_grid_past_65536_cells():
+    """Zero thresholds over a 2,047-px span: a 32-px cell edge and 64 theta cells."""
+    rng = random.Random(34)
+    vault_ms = [(rng.randrange(2048), rng.randrange(2048), rng.randrange(1024) * 360.0 / 1024)
+                for _ in range(300)]
+    vault_ms += [(0, 0, 0.0), (2047, 2047, 359.6484375)]
+    params = MatchParams(0.0, 0.0, 0.0, 360.0)
+    vt = build_geometric_table(vault_ms)
+    grid = vt.grid(params)
+    assert grid.nx * grid.ny * grid.nt > 2**16
+    ptab = build_geometric_table(vault_ms[-30:])  # the same minutiae: exact matches
+    probe_bases = [p for p in range(30) for _ in range(4)]
+    vault_bases = [272 + p if i == 0 else rng.randrange(302) for p in range(30) for i in range(4)]
+    got = match_margins_many(vt, ptab, probe_bases, vault_bases, params)
+    want = dense_match_margins_many(vt, ptab, probe_bases, vault_bases, params)
+    assert len(got[0]) >= 30 * 30
+    for g, w in zip(got, want):
+        assert np.array_equal(g, w)
+
+
+@pytest.mark.parametrize("theta", [360.0, -1.0, -1e-20, math.nan])
+def test_table_refuses_theta_outside_the_circle(theta):
+    with pytest.raises(ValueError, match="theta"):
+        GeometricTable([(10.0, 10.0, 0.0), (20.0, 20.0, theta)])
+
+
+def test_build_geometric_table_folds_theta_into_the_circle():
+    table = build_geometric_table([(1, 1, 360.0), (2, 2, -1e-20), (3, 3, -1.0), (4, 4, 725.0)])
+    assert table.thetas.tolist() == [0.0, 0.0, 359.0, 5.0]

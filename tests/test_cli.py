@@ -240,6 +240,18 @@ def test_encode_refuses_secret_out_equal_to_out(runner, tmp_path, monkeypatch, a
     assert sorted(p.name for p in tmp_path.iterdir()) == ["f.xyt"]
 
 
+def test_encode_folds_an_angle_just_below_zero(runner, tmp_path):
+    # the best minutia's -1e-20 once became theta 360.0, which encoding refused
+    template_path = tmp_path / "f.xyt"
+    lines = [f"{m.x} {m.y} {m.theta!r} {m.quality}" for m in synth_template(904, 60).minutiae]
+    x, y, _, _ = lines[0].split()
+    lines[0] = f"{x} {y} -1e-20 101"
+    template_path.write_text("\n".join(lines) + "\n")
+    result = runner.invoke(main, ["encode", "--template", str(template_path),
+                                  "--out", str(tmp_path / "v.json"), "--seed", "1"])
+    assert result.exit_code == 0, result.stderr
+
+
 def test_encode_error_exits_two(runner, tmp_path):
     template_path = tmp_path / "thin.xyt"
     write_template(template_path, synth_template(903, 10))  # too few minutiae

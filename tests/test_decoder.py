@@ -27,7 +27,7 @@ from fuzzyvault.decoder import (
     try_unlock,
 )
 from fuzzyvault.evaluation import BUILTIN_CONFIGS, perturb_template, synth_template
-from fuzzyvault.minutiae import Template
+from fuzzyvault.minutiae import Template, decode_minutiae
 from fuzzyvault.vault import VaultPoint, encode_vault, genuine_indices
 
 CONFIG1 = BUILTIN_CONFIGS["fvc-1"]
@@ -414,3 +414,29 @@ def test_impostor_decode_peak_memory(seed):
         tracemalloc.stop()
     assert not res.matched and res.bases_tried > 0
     assert peak <= 1.15e6
+
+
+@pytest.mark.parametrize("gate", [0.0, 15.0])
+def test_basis_gate_agrees_with_the_modulo_form(gate, monkeypatch):
+    """Probe angles at 0, just below 360 and equal to vault angles: the
+    decoder sweeps exactly the pairs that |d| % 360.0 gates."""
+    vault, _, probes = oracle_case("fvc-1")
+    vault_thetas = decode_minutiae([pt.X for pt in vault.points])[:, 2]
+    angles = [0.0, 360.0 - 1e-9, *vault_thetas[:8]]
+    probe = Template(tuple(dataclasses.replace(m, theta=float(angles[i % len(angles)]))
+                           for i, m in enumerate(probes["impostor"].minutiae)), 400, 560)
+    params = dataclasses.replace(CONFIG1.match_params(), theta_basis_thres=gate)
+    calls, want = [], []
+    kernel = decoder.match_margins_many
+
+    def recorded(vault_table, probe_table, probe_bases, vault_bases, params):
+        if not want:
+            d = np.abs(probe_table.thetas[:, None] - vault_table.thetas[None, :]) % 360.0
+            want.extend(zip(*np.nonzero(np.minimum(d, 360.0 - d) <= params.theta_basis_thres)))
+        calls.extend(zip(np.asarray(probe_bases).tolist(), np.asarray(vault_bases).tolist()))
+        return kernel(vault_table, probe_table, probe_bases, vault_bases, params)
+
+    monkeypatch.setattr(decoder, "match_margins_many", recorded)
+    res = decode_vault(vault, probe, params, DEFAULT_STRATEGY, random.Random(405))
+    assert not res.matched and res.bases_tried == len(calls)
+    assert calls == [(int(p), int(v)) for p, v in want] and len(calls) > 30

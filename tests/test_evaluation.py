@@ -24,7 +24,7 @@ from fuzzyvault.evaluation import (
     synth_template,
     write_report_csv,
 )
-from fuzzyvault.minutiae import Template
+from fuzzyvault.minutiae import Minutia, Template
 
 ITERATIVE = SubsetStrategy(ITERATIVE_SELECTION)
 
@@ -75,6 +75,13 @@ def test_perturb_pure_rotation_keeps_count_and_thetas():
     assert len(out) >= 25
     for m in out.minutiae:
         assert 0 <= m.theta < 360
+
+
+def test_perturb_folds_an_angle_just_below_zero():
+    # 10.0 - 10.000000000000002 is -1.8e-15, and % 360.0 rounds that up to 360.0
+    t = Template((Minutia(200, 280, 10.0, 1),), 400, 560)
+    out = perturb_template(t, rotation=-10.000000000000002, rng=random.Random(4))
+    assert [m.theta for m in out.minutiae] == [0.0]
 
 
 def test_fvc_pair_counts_small():

@@ -34,8 +34,15 @@ def test_parse_three_fields_defaults_quality_zero():
 
 
 def test_parse_normalizes_negative_theta():
-    t = parse_template("10 10 -30 5\n", 400, 560)
-    assert t.minutiae[0].theta == 330.0
+    # -1e-20 % 360.0 rounds up to 360.0, which no minutia may hold
+    t = parse_template("10 10 -30 5\n11 11 -1e-20 5\n12 12 -360 5\n13 13 720 5\n", 400, 560)
+    assert [m.theta for m in t.minutiae] == [330.0, 0.0, 0.0, 0.0]
+
+
+@pytest.mark.parametrize("theta", [360.0, -1.0, -1e-20, math.nan, math.inf])
+def test_template_refuses_theta_outside_the_circle(theta):
+    with pytest.raises(OutOfBounds, match="theta"):
+        Template((Minutia(1, 1, theta),), 400, 560)
 
 
 def test_parse_skips_blank_lines():

@@ -11,10 +11,10 @@ from fuzzyvault.security import (
     DegreeTooHigh,
     SecurityModel,
     estimate,
-    simulate_attack,
 )
 from fuzzyvault.evaluation import synth_template
 from fuzzyvault.vault import VaultParams, encode_vault, genuine_indices
+from security_oracle import simulate_attack
 
 
 def test_subset_counts_closed_form():
