@@ -16,12 +16,13 @@ gate's exactness rest on.  A row, the whole minutia list in one basis
 frame, is computed when asked for; a decode's probe table keeps them all.
 
 The threshold kernel builds no vault rows.  The vault table holds its
-minutiae once per decode in the cell units of an (x, y, theta) grid; a
+minutiae once per decode in the cell units of an (x, theta, y) grid; a
 kernel call takes a list of (probe basis, vault basis) pairs, maps each
-pair's probe row into the vault image in cell units and reads the one
-cell each (pair, probe minutia) lands in.  Cells only choose which
-triples to test: each gets its slack with the float64 operations of a
-dense evaluation, and only the matches come back, sparse, exact.
+pair's probe row into the vault image in cell units and reads one run of
+cells around the one each (pair, probe minutia) lands in.  Cells only
+choose which triples to test: each gets its slack with the float64
+operations of a dense evaluation, and only the matches come back,
+sparse, exact.
 """
 
 from __future__ import annotations
@@ -58,19 +59,22 @@ class MatchParams:
 
 
 class _VaultGrid:
-    """Absolute minutiae bucketed in (x, y, theta) cells, in CSR form.
+    """Absolute minutiae bucketed in (x, theta, y) cells, in CSR form.
 
     The x/y cell edge is max(hypot(x_thres, y_thres) + _CELL_PAD,
     span / _GRID_CELLS), span being the larger extent of the minutiae.
     The theta cells split the circle evenly, each at least theta_thres +
     _CELL_PAD wide; when fewer than three fit there is one theta cell.
     In cell units, u = x / edge - x0, v = y / edge - y0 and w = theta /
-    width, a point lies in cell (floor(u), floor(v), floor(w) mod nt); x0
-    and y0 leave a spare cell on each side of the minutiae, and past those
-    x slab nx - 1 and y row ny - 1 stay empty.  Each minutia is entered
-    into its own cell and the 26 around it (the 8 around it with one theta
-    cell), so reading the cell of a query finds every minutia less than one
-    cell away from it on each axis; cell c's are members[bounds[c]:bounds[c + 1]].
+    width, a point lies in cell (floor(u), floor(v), floor(w) mod nt),
+    numbered (x * nt + t) * ny + y; x0 and y0 leave a spare cell on each
+    side of the minutiae.  Each minutia is entered into the 3 x 3 (x,
+    theta) cells around its own (3 with one theta cell) at its own y row,
+    so x slab nx - 1 and y rows 0, ny - 2 and ny - 1 hold no entry, and the
+    y rows around cell c, one run members[runs[c]:runs[c + 3]], hold every
+    minutia less than one cell away from c on each axis; runs[c] starts
+    cell c - 1, and a run into a neighbouring (x, theta) column reads only
+    its empty row 0 or ny - 1.
     """
 
     def __init__(self, table: GeometricTable, params: MatchParams):
@@ -85,19 +89,20 @@ class _VaultGrid:
         self.cos, self.sin = table.cos / self.edge, table.sin / self.edge  # a basis frame's axes
         # floor(w) is in [0, nt] for a minutia and in [0, 2 nt] for a query: this folds it
         self.wrap = np.arange(2 * self.nt + 1) % self.nt
-        cx, cy, ct = np.floor(self.u), np.floor(self.v), self.wrap[self.w.astype(np.intp)]
+        cx, cy, ct = self.u.astype(np.intp), self.v.astype(np.intp), self.wrap[self.w.astype(np.intp)]
         self.nx, self.ny = int(cx.max()) + 3, int(cy.max()) + 3
-        near = np.array([-1.0, 0.0, 1.0])
-        near_t = near if self.nt >= 3 else np.zeros(1)
-        cells = (((cx[:, None] + near)[:, :, None, None] * self.ny
-                  + (cy[:, None] + near)[:, None, :, None]) * self.nt
-                 + ((ct[:, None] + near_t) % self.nt)[:, None, None, :])
-        cells = cells.reshape(len(cx), -1).astype(np.intp)
-        # the order inside a cell is free: match_margins_many returns one
-        # (pair, point, margin) row per (pair, point), sorted by all three
-        self.members = np.argsort(cells.ravel()) // cells.shape[1]
-        self.bounds = np.cumsum(np.bincount(cells.ravel() + 1, minlength=self.nx * self.ny * self.nt + 1))
-        self.occupied = self.bounds[1:] > self.bounds[:-1]
+        near = np.arange(-1, 2)
+        near_t = near if self.nt >= 3 else near[1:2]
+        cells = (((cx[:, None, None] + near[:, None]) * self.nt + (ct[:, None, None] + near_t) % self.nt)
+                 * self.ny + cy[:, None, None])
+        keys = cells.ravel().astype(np.min_scalar_type(self.nx * self.nt * self.ny))
+        # stable sorts 16-bit keys by radix; the order inside a cell is free: match_margins_many
+        # returns one (pair, point, margin) row per (pair, point), sorted by all three
+        order = np.argsort(keys, kind="stable")
+        self.members = order // (cells.size // len(cx))
+        # runs[c] is the count of entries in cells below c - 1: a step at each sorted key + 2
+        self.runs = np.repeat(np.arange(len(keys) + 1, dtype=np.int32),
+                              np.diff(keys[order], prepend=-2, append=self.nx * self.nt * self.ny + 1))
 
 
 class GeometricTable:
@@ -177,9 +182,9 @@ def match_margins_many(
     No vault row is built.  Each (pair, p) maps P[p] into the vault image
     in the grid's cell units, u = u_b + (cos(theta_b) P[p].x - sin(theta_b)
     P[p].y) / edge, v likewise and w = w_b + P[p].theta / width, and reads
-    the cell it lands in.  The (pair, p, j) triples that read turns up get
-    V_b[j], with the float64 expressions of GeometricTable.rows, and the
-    exact slack.
+    the run around the cell it lands in.  The (pair, p, j) triples that
+    read turns up get V_b[j], with the float64 expressions of
+    GeometricTable.rows, and the exact slack.
 
     The result is exact.  V_b[j] - P[p] is R(-theta_b)(v_j - q) up to
     rounding, q being the image point, and a rotation keeps lengths; so a
@@ -188,10 +193,11 @@ def match_margins_many(
     units that is short of one by _CELL_PAD / edge (or / width), far more
     than the rounding of 11-bit coordinates and of angles in [0, 360), so
     floor(u), floor(v) and floor(w) of the two differ by at most one
-    (circularly for w), and the cells each vault minutia is entered into
-    include the one the query reads.  Every matching triple is tested, and
-    each (pair, point) keeps a dense evaluation's minimum, the same in any
-    batch of pairs.
+    (circularly for w), and the run the query reads holds v_j; a query
+    clamped into x slab nx - 1 or y row ny - 1 is past every minutia and
+    reads no entry.  Every matching triple is tested, and each (pair,
+    point) keeps a dense evaluation's minimum, the same in any batch of
+    pairs.
     """
     T, grid = vault_table, vault_table.grid(params)
     pb, b = np.broadcast_arrays(np.asarray(probe_bases, dtype=np.intp),
@@ -199,18 +205,19 @@ def match_margins_many(
     px, py, pt = probe_table.frames()
     # query (p, i), probe minutia p of pair i, in cell units: (kp, pairs) arrays
     gx, gy, cos, sin = px[:, pb], py[:, pb], grid.cos[b], grid.sin[b]
-    # astype truncates: floor, but (-1, 0) reads spare cell 0, whose minutiae are all too
+    # astype truncates: floor, but (-1, 0) reads spare slab or row 0, whose entries are all too
     # far; as unsigned, a query left of or below the grid is past it, in the empty slab or row
     cx = np.minimum((gx * cos - gy * sin + grid.u[b]).astype(np.intp).view(np.uintp), grid.nx - 1)
     cy = np.minimum((gx * sin + gy * cos + grid.v[b]).astype(np.intp).view(np.uintp), grid.ny - 1)
     del gx, gy
     ct = grid.wrap[(pt[:, pb] * (1.0 / grid.width) + grid.w[b]).astype(np.intp)]
-    cell = ((cx.view(np.intp) * grid.ny + cy.view(np.intp)) * grid.nt + ct).ravel()
+    cell = ((cx.view(np.intp) * grid.nt + ct) * grid.ny + cy.view(np.intp)).ravel()
     del cx, cy, ct
-    # one (pair, probe minutia, vault point) triple per member of each cell read
-    hit = np.flatnonzero(grid.occupied[cell])
-    stop = grid.bounds[cell[hit] + 1]
-    k = stop - grid.bounds[cell[hit]]
+    # one (pair, probe minutia, vault point) triple per member of the run read
+    start, stop = grid.runs[cell], grid.runs[3:][cell]
+    hit = np.flatnonzero(stop - start)
+    stop = stop[hit]
+    k = stop - start[hit]
     q = np.repeat(np.arange(len(hit)), k)  # the query of each triple, among those hit
     j = grid.members[np.arange(len(q)) + (stop - np.cumsum(k))[q]]
     p, row = np.divmod(hit[q], len(b))

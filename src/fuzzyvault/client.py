@@ -84,7 +84,7 @@ def _request(method: str, server_url: str, expected: int, query: str = "",
 def _get_vaults(server_url: str, user_id: str) -> tuple[list[dict], int]:
     """The user's readable vault documents and the count of unreadable ones."""
     body = _request("GET", server_url, 200, urlencode({"user_id": user_id}))
-    vaults = body.get("vaults", [])
+    vaults = body.get("vaults")  # required: a 200 without it is no answer, not "no vaults"
     if not isinstance(vaults, list):
         raise StorageUnavailable(f"vault store sent a bad vault list {vaults!r}")
     unreadable = body.get("unreadable", 0)

@@ -5,7 +5,8 @@ Endpoints:
 * ``GET /health`` liveness probe
 * ``POST /vaults`` enroll one vault document (without id), returns 201
   and the object id the store assigned; the store's put is its one check
-* ``GET /vaults?user_id=...`` every vault stored for that user
+* ``GET /vaults?user_id=...`` every vault stored for that user, as the
+  JSON texts the store read, encoded again only where they are not ASCII
 
 Every request passes one boundary: a route returns (status, payload)
 or raises a typed error, and the boundary turns DocumentInvalid into
@@ -42,6 +43,15 @@ _POLL_INTERVAL = 0.05
 # Seconds a handler waits on one read or write of a client's socket before
 # http.server drops the connection; the same as client._TIMEOUT.
 _READ_TIMEOUT = 10.0
+
+
+def _json_body(payload: dict) -> bytes:
+    """payload as JSON, the documents of a "vaults" list joined in as the texts they were stored as."""
+    if "vaults" not in payload:
+        return json.dumps(payload).encode()
+    texts = (getattr(doc, "text", None) or json.dumps(doc).encode() for doc in payload["vaults"])
+    tail = b', "unreadable": %d}' % payload["unreadable"] if "unreadable" in payload else b"}"
+    return b'{"vaults": [' + b", ".join(texts) + b"]" + tail
 
 
 class VaultStoreService:
@@ -111,7 +121,7 @@ class VaultStoreService:
                 # log first: once the body is written the client may read the log
                 if service.wire_log is not None:
                     service.wire_log.append({**logged, "status": status, "response": payload})
-                body = json.dumps(payload).encode()
+                body = _json_body(payload)
                 try:
                     self.send_response(status)
                     self.send_header("Content-Type", "application/json")

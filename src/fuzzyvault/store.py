@@ -5,7 +5,8 @@ id, the polynomial degree and the (X, Y) point list.  Nothing else is
 accepted, because anything else risks leaking template or secret
 material onto a host we treat as untrusted.  validate_document_dict is
 the single gate both the wire format and the at-rest format must pass,
-and in process a document is the JSON object (a dict) that passed it.
+and in process a document is the JSON object (a dict) that passed it;
+fetch returns it as a StoredDocument, which keeps its text for a reply.
 """
 
 from __future__ import annotations
@@ -40,10 +41,20 @@ class StorageUnavailable(RuntimeError):
 class UnreadableVaults(StorageUnavailable):
     """Some of a user's stored vault files are corrupt; readable holds the others."""
 
-    def __init__(self, message: str, readable: list[dict], unreadable: int):
+    def __init__(self, message: str, readable: list[StoredDocument], unreadable: int):
         super().__init__(message)
         self.readable = readable
         self.unreadable = unreadable
+
+
+class StoredDocument(dict):
+    """A fetched document; text is the JSON it was stored as when those bytes can
+    go into a reply as they are: plain ASCII, as both stores write.  It is None
+    for the UTF-8 with a BOM, UTF-16 or UTF-32 that json.loads also reads."""
+
+    def __init__(self, doc: dict, raw: bytes):
+        super().__init__(doc)
+        self.text = raw if raw.isascii() and b"\0" not in raw else None
 
 
 def parse_json(text):
@@ -112,13 +123,13 @@ def document_from_dict(data) -> dict:
     return data
 
 
-def _file_document(doc: dict) -> tuple[str, str]:
+def _file_document(doc: dict) -> tuple[str, bytes]:
     """(a fresh object id, the compact JSON text filed under it) for a wire document,
     which may not carry "id": the store alone names vaults.  The C encoder writes
     compact JSON (indent=2 forces the Python one); files written indented still load."""
     validate_document_dict(doc, require_id=False)
     object_id = uuid.uuid4().hex
-    return object_id, json.dumps({"id": object_id, **doc}, separators=(",", ":"))
+    return object_id, json.dumps({"id": object_id, **doc}, separators=(",", ":")).encode()
 
 
 class MemoryVaultStore:
@@ -127,7 +138,7 @@ class MemoryVaultStore:
 
     def __init__(self):
         self._lock = threading.Lock()
-        self._by_user: dict[str, list[str]] = {}
+        self._by_user: dict[str, list[bytes]] = {}
 
     def put(self, doc: dict) -> str:
         object_id, text = _file_document(doc)
@@ -135,10 +146,10 @@ class MemoryVaultStore:
             self._by_user.setdefault(doc["user_id"], []).append(text)
         return object_id
 
-    def fetch(self, user_id: str) -> list[dict]:
+    def fetch(self, user_id: str) -> list[StoredDocument]:
         check_user_id(user_id)
         with self._lock:
-            return [json.loads(text) for text in self._by_user.get(user_id, [])]
+            return [StoredDocument(json.loads(text), text) for text in self._by_user.get(user_id, [])]
 
 
 class FileVaultStore:
@@ -171,7 +182,7 @@ class FileVaultStore:
         try:
             user_dir.mkdir(exist_ok=True)
             with open(tmp, "xb") as fh:
-                fh.write(text.encode())
+                fh.write(text)
                 fh.flush()
                 os.fsync(fh.fileno())
             os.replace(tmp, final)
@@ -179,7 +190,7 @@ class FileVaultStore:
             raise StorageUnavailable(f"cannot persist vault: {exc}") from exc
         return object_id
 
-    def fetch(self, user_id: str) -> list[dict]:
+    def fetch(self, user_id: str) -> list[StoredDocument]:
         check_user_id(user_id)
         user_dir = self.root / user_id
         if not user_dir.is_dir():
@@ -194,7 +205,7 @@ class FileVaultStore:
                     doc = document_from_dict(parse_json(raw))
                     if doc["user_id"] != user_id:
                         raise ValueError(f"document of user {doc['user_id']!r}")
-                    docs.append(doc)
+                    docs.append(StoredDocument(doc, raw))
                 except ValueError as exc:
                     # bad JSON, bad encoding, a schema violation or another
                     # user's document: the request was fine, the store is not

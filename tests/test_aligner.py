@@ -2,6 +2,7 @@
 
 import math
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -23,7 +24,7 @@ from aligner_oracle import (
 from fuzzyvault.aligner import (_CELL_PAD, GeometricTable, MatchParams, build_geometric_table,
                                 match_margins_many)
 from fuzzyvault.evaluation import BUILTIN_CONFIGS, synth_template
-from fuzzyvault.minutiae import Minutia, decode_minutiae, select_minutiae
+from fuzzyvault.minutiae import Minutia, decode_minutiae, fold_angle, select_minutiae
 from fuzzyvault.vault import VaultPoint, encode_vault
 
 
@@ -293,7 +294,7 @@ def _near(data, q, theta_b, params, width):
         t = data.draw(_angles)
     else:
         t = qt
-    return x, y, t % 360.0
+    return x, y, fold_angle(t)
 
 
 def _on_cell_edges(data, q, edge):
@@ -411,6 +412,55 @@ def test_kernel_agrees_with_dense_oracle_on_a_grid_past_65536_cells():
     assert len(got[0]) >= 30 * 30
     for g, w in zip(got, want):
         assert np.array_equal(g, w)
+
+
+@pytest.mark.parametrize("theta_thres", [12.0, 150.0])  # 27 theta cells, and one
+def test_kernel_agrees_with_dense_oracle_at_the_grid_edges(theta_thres):
+    """Vault minutiae on the lowest and highest occupied y rows and in the
+    first and last x and theta columns; probe minutiae mapped into the image
+    on, just past and far past every edge of the grid."""
+    params = MatchParams(12.0, 12.0, theta_thres, 360.0)
+    vault = [(x, y, t) for x in (100.0, 400.0) for y in (100.0, 400.0) for t in (0.0, 360.0 - 1e-9)]
+    vault += [(250.0, 250.0, 180.0), (100.0, 250.0, 90.0), (250.0, 400.0, 270.0)]
+    vt = build_geometric_table(vault)
+    grid = vt.grid(params)
+    cx, cy, ct = grid.u.astype(int), grid.v.astype(int), grid.wrap[grid.w.astype(int)]
+    assert (cx.min(), cx.max(), cy.min(), cy.max()) == (1, grid.nx - 3, 1, grid.ny - 3)
+    assert (ct.min(), ct.max(), grid.nt == 1) == (0, grid.nt - 1, theta_thres > 119)
+    # probe minutia i < len(vault) is vault minutia i, so pair (i, i) maps every
+    # probe minutia into the image at its own coordinates
+    steps = [s * d for s in (-1.0, 1.0) for d in (0.0, 0.5, grid.edge - 0.5, grid.edge,
+                                                   grid.edge + 0.5, 2 * grid.edge, 1e4)]
+    probe = vault + [(x + dx, y + dy, t) for x, y, t in vault[:8]
+                     for dx, dy in [(d, 0.0) for d in steps] + [(0.0, d) for d in steps] + [(d, d) for d in steps]]
+    ptab = build_geometric_table(probe)
+    pairs = [(i, i) for i in range(len(vault))]
+    pairs += [(p, v) for p in range(0, len(probe), 7) for v in range(len(vault))]
+    probe_bases, vault_bases = zip(*pairs)
+    got = match_margins_many(vt, ptab, probe_bases, vault_bases, params)
+    want = dense_match_margins_many(vt, ptab, probe_bases, vault_bases, params)
+    assert len(got[0]) > len(vault)
+    for g, w in zip(got, want):
+        assert np.array_equal(g, w)
+
+
+def test_vault_grid_build_peak_memory():
+    """An fvc-1 vault's grid sorts 16-bit keys and keeps one int32 run offset
+    per cell (24,570 cells): its build peaks near 220 KB, where int64 counts
+    and offsets per cell took ~560 KB."""
+    cfg = BUILTIN_CONFIGS["fvc-1"]
+    vault, _ = encode_vault(synth_template(35, 60), cfg.vault_params(), random.Random(36))
+    points = decode_minutiae([pt.X for pt in vault.points])
+    build_geometric_table(points).grid(cfg.match_params())
+    vt = build_geometric_table(points)
+    tracemalloc.start()
+    try:
+        grid = vt.grid(cfg.match_params())
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert grid.nx * grid.ny * grid.nt > 20_000
+    assert peak < 350_000
 
 
 @pytest.mark.parametrize("theta", [360.0, -1.0, -1e-20, math.nan])

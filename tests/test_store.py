@@ -428,6 +428,46 @@ def test_service_post_and_get(service):
     assert ("POST", 201) in methods and ("GET", 200) in methods
 
 
+def test_service_get_body_is_the_stored_files_joined(tmp_path):
+    root = tmp_path / "vaults"
+    store = FileVaultStore(root)
+    for _ in range(2):
+        store.put(make_doc(user_id="bob"))
+    joined = b", ".join(p.read_bytes() for p in sorted((root / "bob").glob("*.json")))
+    with VaultStoreService(store, port=0) as svc:
+        whole = requests.get(f"{svc.url}/vaults", params={"user_id": "bob"}, timeout=5).content
+        (root / "bob" / "zz.json").write_text("{ not json")  # sorts after the hex ids
+        partial = requests.get(f"{svc.url}/vaults", params={"user_id": "bob"}, timeout=5).content
+    assert whole == b'{"vaults": [' + joined + b"]}"
+    assert partial == b'{"vaults": [' + joined + b'], "unreadable": 1}'
+
+
+# A stored document as json.loads reads it but the stores do not write it: with
+# a UTF-8 BOM, as UTF-16 with and without its BOM (every other byte NUL, all
+# ASCII), and indented.
+_AT_REST = {
+    "utf-8-bom": lambda doc: b"\xef\xbb\xbf" + json.dumps(doc).encode(),
+    "utf-16": lambda doc: json.dumps(doc).encode("utf-16"),
+    "utf-16-le": lambda doc: json.dumps(doc).encode("utf-16-le"),
+    "indented": lambda doc: json.dumps(doc, indent=2).encode(),
+}
+
+
+@pytest.mark.parametrize("encoding", sorted(_AT_REST))
+def test_reply_gives_the_client_the_documents_fetch_read(store, encoding):
+    store.put(make_doc(user_id="bob"))
+    doc = {"id": "0f1e2d3c", **make_doc(user_id="bob")}
+    raw = _AT_REST[encoding](doc)
+    if isinstance(store, FileVaultStore):
+        (store.root / "bob" / "0f1e2d3c.json").write_bytes(raw)
+    else:
+        store._by_user["bob"].append(raw)  # the bytes it keeps, as a file would hold them
+    fetched = store.fetch("bob")
+    assert len(fetched) == 2 and doc in fetched
+    with VaultStoreService(store, port=0) as svc:
+        assert client_module._get_vaults(svc.url, "bob") == (fetched, 0)
+
+
 def test_service_validates_a_post_once(monkeypatch):
     calls = []
 
@@ -964,6 +1004,9 @@ def canned():
 
 @pytest.mark.parametrize("status,body,error", [
     (200, b"[]", StorageUnavailable),
+    # a reply without "vaults" is no answer, not "no vaults enrolled"
+    (200, b"{}", StorageUnavailable),
+    (200, b'{"unreadable": 0}', StorageUnavailable),
     (200, b'{"vaults": 5}', StorageUnavailable),
     (200, b"{ not json", StorageUnavailable),
     # a schema-breaking document is the store's fault, not the client's
