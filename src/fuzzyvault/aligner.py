@@ -153,12 +153,7 @@ class GeometricTable:
         return self._grid
 
 
-def build_geometric_table(points) -> GeometricTable:
-    """A table of (x, y, theta) rows, each theta first folded into [0, 360) as fold_angle does."""
-    pts = np.array(points, dtype=float).reshape(-1, 3)
-    folded = pts[:, 2] % 360.0
-    pts[:, 2] = np.where(folded < 360.0, folded, 0.0)
-    return GeometricTable(pts)
+build_geometric_table = GeometricTable  # the decoder's name for it, which vaultbench's tracer wraps
 
 
 def match_margins_many(

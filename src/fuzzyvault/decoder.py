@@ -20,7 +20,6 @@ from __future__ import annotations
 import itertools
 import math
 import time
-from array import array
 from dataclasses import dataclass
 from random import Random
 from typing import Iterable, Iterator, Sequence
@@ -39,7 +38,7 @@ VARIANTS = (ITERATIVE_SELECTION, RANDOM_GENERATION, RANDOM_SELECTION)
 
 # Per basis pair, random-selection stops after this many draws unless told otherwise.
 DEFAULT_ITERATION_CAP = 2**20
-# random-generation shuffles the subsets of the longest candidate prefix that has at most this many.
+# random-generation shuffles at most this many subsets: iterative-selection's first ones.
 SUBSET_BUDGET = 1_000_000
 # A kernel call stops at the first probe basis that brings it to this many basis pairs.
 _PAIRS_PER_CALL = 256
@@ -53,12 +52,12 @@ class ArityError(ValueError):
 class SubsetStrategy:
     """How candidate subsets are enumerated for interpolation.
 
-    iterative-selection walks all combinations lexicographically
-    (deterministic, exhaustive); random-generation shuffles their ranks,
-    unranked as reached (exhaustive up to SUBSET_BUDGET); random-selection draws
-    subsets uniformly at random, repeats allowed, capped by
-    iteration_cap, which defaults to DEFAULT_ITERATION_CAP for it and
-    to no cap for the exhaustive variants.
+    iterative-selection walks all combinations in colex order, so the
+    subsets of the j strongest candidates come first (deterministic,
+    exhaustive); random-generation reads the first SUBSET_BUDGET of them in
+    an order shuffled as it goes; random-selection draws subsets uniformly
+    at random, repeats allowed, capped by iteration_cap, which defaults to
+    DEFAULT_ITERATION_CAP for it and to no cap for the exhaustive variants.
     """
 
     variant: str
@@ -103,28 +102,34 @@ def generate_subsets(
         raise ArityError(f"{m} candidates cannot form subsets of size {size}")
     if strategy.variant != ITERATIVE_SELECTION and rng is None:
         raise ValueError(f"{strategy.variant} needs an rng")
-    if strategy.variant == ITERATIVE_SELECTION:
-        stream: Iterable[tuple[VaultPoint, ...]] = itertools.combinations(candidates, size)
-    elif strategy.variant == RANDOM_GENERATION:
-        while math.comb(m, size) > SUBSET_BUDGET:
-            m -= 1
-        ranks = array("I", range(math.comb(m, size)))
-        rng.shuffle(ranks)  # its draws depend only on the length: as if shuffling the subsets
-        stream = (_unrank(candidates, m, size, rank) for rank in ranks)
-    else:
-        stream = (tuple(rng.sample(candidates, size)) for _ in range(math.comb(m, size)))
+    ranks: Iterable[int] = range(math.comb(m, size))
+    if strategy.variant == RANDOM_GENERATION:
+        ranks = _shuffled(min(math.comb(m, size), SUBSET_BUDGET), rng)
+    stream = (tuple(rng.sample(candidates, size)) if strategy.variant == RANDOM_SELECTION
+              else _unrank(candidates, size, rank) for rank in ranks)
     return itertools.islice(stream, strategy.iteration_cap)
 
 
-def _unrank(pool: Sequence[VaultPoint], m: int, size: int, rank: int) -> tuple[VaultPoint, ...]:
-    """The rank-th size-subset of pool[:m] in itertools.combinations order."""
-    subset, first = [], 0
-    for left in range(size - 1, -1, -1):
-        while rank >= (count := math.comb(m - first - 1, left)):  # pool[first] leads count subsets
-            rank, first = rank - count, first + 1
-        subset.append(pool[first])
-        first += 1
-    return tuple(subset)
+def _unrank(pool: Sequence[VaultPoint], size: int, rank: int) -> tuple[VaultPoint, ...]:
+    """The rank-th size-subset of pool in colex order: rank = sum of C(i_k, k) over its indices."""
+    subset, i = [], len(pool)
+    for k in range(size, 0, -1):
+        i -= 1
+        while (count := math.comb(i, k)) > rank:  # i_k is the largest i with C(i, k) <= rank
+            i -= 1
+        rank -= count
+        subset.append(pool[i])
+    return tuple(subset[::-1])
+
+
+def _shuffled(n: int, rng: Random) -> Iterator[int]:
+    """range(n) as rng.shuffle leaves it, read from slot n - 1 down, each right after its one
+    randrange (none for slot 0); only swapped slots are kept (j == i re-stores i, never read)."""
+    displaced: dict[int, int] = {}
+    for i in range(n - 1, -1, -1):
+        j = rng.randrange(i + 1) if i else 0
+        rank, displaced[j] = displaced.get(j, j), displaced.pop(i, i)
+        yield rank
 
 
 def try_unlock(subset: Sequence[VaultPoint], degree: int) -> bytes | None:

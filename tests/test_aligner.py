@@ -469,6 +469,8 @@ def test_table_refuses_theta_outside_the_circle(theta):
         GeometricTable([(10.0, 10.0, 0.0), (20.0, 20.0, theta)])
 
 
-def test_build_geometric_table_folds_theta_into_the_circle():
-    table = build_geometric_table([(1, 1, 360.0), (2, 2, -1e-20), (3, 3, -1.0), (4, 4, 725.0)])
-    assert table.thetas.tolist() == [0.0, 0.0, 359.0, 5.0]
+def test_build_geometric_table_refuses_theta_outside_the_circle():
+    # the decoder's name for a table folds nothing: its angles are in [0, 360) already
+    for theta in (360.0, -1e-20, -1.0, 725.0):
+        with pytest.raises(ValueError, match="theta"):
+            build_geometric_table([(1, 1, 0.0), (2, 2, theta)])

@@ -45,10 +45,16 @@ def small_vault(seed=30, n=2, g=3, c=8):
     return vault, secret, t
 
 
-def test_iterative_subsets_lexicographic():
-    pts = [VaultPoint(i, 0) for i in range(4)]
+def colex(pool, size):
+    """Every size-subset of pool, in colex order: by the largest point first."""
+    return sorted(itertools.combinations(pool, size), key=lambda s: s[::-1])
+
+
+def test_iterative_subsets_colex():
+    pts = [VaultPoint(i, 0) for i in range(5)]
     got = list(generate_subsets(pts, 3, ITERATIVE))
-    assert got == list(itertools.combinations(pts, 3))
+    assert got == colex(pts, 3)
+    assert got != list(itertools.combinations(pts, 3))  # at m = 4 the two orders coincide
 
 
 def test_random_generation_covers_all_subsets():
@@ -59,28 +65,35 @@ def test_random_generation_covers_all_subsets():
 
 
 def test_random_generation_past_budget_shuffles_strongest_prefix(monkeypatch):
-    # past the budget, the strongest prefix that fits it is shuffled whole
+    # past the budget, iterative-selection's first SUBSET_BUDGET subsets are shuffled
     monkeypatch.setattr(decoder, "SUBSET_BUDGET", 100)
     pts = [VaultPoint(i, 0) for i in range(30)]
     assert math.comb(9, 3) <= 100 < math.comb(10, 3)
     got_rng, want_rng = random.Random(2), random.Random(2)
     got = list(generate_subsets(pts, 3, SubsetStrategy(RANDOM_GENERATION), got_rng))
-    assert got == reference_subsets(pts[:9], 3, RANDOM_GENERATION, None, want_rng)
+    assert got == reference_subsets(pts, 3, RANDOM_GENERATION, None, want_rng)
     assert got_rng.getstate() == want_rng.getstate()
+    assert sorted(got) == sorted(colex(pts, 3)[:100])
+    assert set(got) >= set(itertools.combinations(pts[:9], 3))  # all 84 of the strongest 9
+    assert sum(pts[9] in s for s in got) == 16 and all(set(s) <= set(pts[:10]) for s in got)
 
 
 def test_random_generation_builds_subsets_as_reached():
-    # C(31, 9) is past the budget, so the 817,190 subsets of the first 23
-    # are shuffled: as ranks, 4 bytes each, not as tuples of points
+    # C(31, 9) is past the budget: the first subset costs one draw and a few
+    # dict entries, not a shuffle of 10^6 ranks
     pts = [VaultPoint(i, 0) for i in range(31)]
+    got_rng, want_rng = random.Random(6), random.Random(6)
     tracemalloc.start()
     try:
-        first = next(generate_subsets(pts, 9, SubsetStrategy(RANDOM_GENERATION), random.Random(6)))
+        first = next(generate_subsets(pts, 9, SubsetStrategy(RANDOM_GENERATION), got_rng))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert len(first) == 9 and set(first) <= set(pts[:23])
-    assert peak < 8 * 2**20
+    rank = want_rng.randrange(10**6)
+    assert got_rng.getstate() == want_rng.getstate()
+    index = [p.X for p in first]  # the subset of colex rank `rank`, read from its definition
+    assert index == sorted(set(index)) and sum(math.comb(i, k) for k, i in enumerate(index, 1)) == rank
+    assert peak < 64 * 2**10
 
 
 def test_random_selection_draw_count_and_cap():
@@ -111,9 +124,18 @@ def reference_subsets(pool, size, variant, cap, rng):
         total = math.comb(len(pool), size)
         draws = total if cap is None else min(total, cap)
         return [tuple(rng.sample(pool, size)) for _ in range(draws)]
-    subsets = list(itertools.combinations(pool, size))
+    subsets = colex(pool, size)
     if variant == RANDOM_GENERATION:
-        rng.shuffle(subsets)
+        # Fisher-Yates from the top over the budget's subsets, read slot by slot up to the cap
+        subsets, read = subsets[:decoder.SUBSET_BUDGET], []
+        for i in range(len(subsets) - 1, -1, -1):
+            if len(read) == cap:
+                break
+            if i > 0:
+                j = rng.randrange(i + 1)
+                subsets[i], subsets[j] = subsets[j], subsets[i]
+            read.append(subsets[i])
+        return read
     return subsets[:cap]
 
 
@@ -129,6 +151,22 @@ def test_subset_stream_and_rng_state_match_reference(variant, m, data, seed):
     assert list(generate_subsets(pool, size, strategy, got_rng)) == reference_subsets(
         pool, size, variant, cap, want_rng
     )
+    assert got_rng.getstate() == want_rng.getstate()
+
+
+@settings(max_examples=60, deadline=None)
+@given(m=st.integers(0, 10), n=st.sampled_from([1, 2, 3, 1000]), seed=st.integers(0, 2**32))
+def test_unrank_is_colex_and_shuffled_is_a_lazy_shuffle(m, n, seed):
+    pool = [VaultPoint(i, 0) for i in range(m)]
+    for size in range(m + 1):
+        got = [decoder._unrank(pool, size, rank) for rank in range(math.comb(m, size))]
+        assert got == colex(pool, size)
+        for j in range(size, m + 1):  # the first C(j, size) ranks are the subsets of pool[:j]
+            assert set(got[:math.comb(j, size)]) == set(itertools.combinations(pool[:j], size))
+    got_rng, want_rng = random.Random(seed), random.Random(seed)
+    ranks = list(range(n))
+    want_rng.shuffle(ranks)
+    assert list(decoder._shuffled(n, got_rng)) == ranks[::-1]
     assert got_rng.getstate() == want_rng.getstate()
 
 
