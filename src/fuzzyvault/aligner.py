@@ -12,13 +12,13 @@ every basis angle, computed once per table (numpy's vectorized cos/sin
 may round an element differently depending on its position in the
 array, so a basis frame indexes them instead of recomputing them).  It
 refuses a theta outside [0, 360), the range the kernel's and the basis
-gate's exactness rest on.  A row, the whole minutia list in one basis
-frame, is computed when asked for; a decode's probe table keeps them all.
+gate's exactness rest on.  Its frames, every minutia in every basis
+frame, are built on first use and kept; the kernel reads the probe's.
 
-The threshold kernel builds no vault rows.  The vault table holds its
+The threshold kernel builds no vault frames.  The vault table holds its
 minutiae once per decode in the cell units of an (x, theta, y) grid; a
 kernel call takes a list of (probe basis, vault basis) pairs, maps each
-pair's probe row into the vault image in cell units and reads one run of
+pair's probe frame into the vault image in cell units and reads one run of
 cells around the one each (pair, probe minutia) lands in.  Cells only
 choose which triples to test: each gets its slack with the float64
 operations of a dense evaluation, and only the matches come back,
@@ -108,12 +108,11 @@ class _VaultGrid:
 class GeometricTable:
     """A minutia list and all its basis-relative views.
 
-    ``rows(bases)`` computes the list in each given basis frame: row i
-    holds every minutia transformed into the frame of basis i, so
-    ``rows([i])[0, i]`` is always the exact zero transform; the last axis
-    is x/y/theta.  ``frames()`` is every row, and ``grid(params)`` the
-    absolute minutiae bucketed for the threshold kernel; each is built on
-    first use and kept, the grid while the same params are asked for.
+    ``frames()`` is x, y and theta of every minutia transformed into the
+    frame of every basis, indexed [point, basis], so entry [i, i] is
+    always the exact zero transform; ``grid(params)`` is the absolute
+    minutiae bucketed for the threshold kernel.  Each is built on first
+    use and kept, the grid while the same params are asked for.
     """
 
     def __init__(self, points):
@@ -132,19 +131,12 @@ class GeometricTable:
     def __len__(self) -> int:
         return len(self.xs)
 
-    def rows(self, bases: Sequence[int]) -> np.ndarray:
-        """The rows of the given bases, shape (len(bases), k, 3)."""
-        idx = np.asarray(bases, dtype=int)
-        dx = self.xs[None, :] - self.xs[idx, None]
-        dy = self.ys[None, :] - self.ys[idx, None]
-        cb, sb = self.cos[idx, None], self.sin[idx, None]
-        return np.stack([cb * dx + sb * dy, -sb * dx + cb * dy,
-                         (self.thetas[None, :] - self.thetas[idx, None]) % 360.0], axis=-1)
-
     def frames(self) -> tuple[np.ndarray, ...]:
-        """x, y and theta of every row, each of shape (k, k) and indexed [point, basis]."""
+        """x, y and theta of every minutia in every basis frame, each (k, k), [point, basis]."""
         if self._frames is None:
-            self._frames = tuple(np.ascontiguousarray(self.rows(np.arange(len(self))).T))
+            dx, dy = self.xs[:, None] - self.xs, self.ys[:, None] - self.ys
+            self._frames = (self.cos * dx + self.sin * dy, -self.sin * dx + self.cos * dy,
+                            (self.thetas[:, None] - self.thetas) % 360.0)
         return self._frames
 
     def grid(self, params: MatchParams) -> _VaultGrid:
@@ -168,18 +160,18 @@ def match_margins_many(
     Pair i is (probe_bases[i], vault_bases[i]); one probe basis index is
     broadcast to every pair.  Vault point j matches in pair i when some
     probe minutia p lies within all three thresholds of it in the paired
-    frames, V_b[j] (the vault's row b) against P[p] (the probe's row); its
+    frames, V_b[j] (vault point j in vault basis b's frame) against P[p]; its
     margin, the minimum over those p of max(|dx| - x_thres, |dy| - y_thres,
     circ(dtheta) - theta_thres), is <= 0.  There is one entry per matching
     (pair, point), sorted by pair, then margin, then point, so each pair's
     run is its candidate set, strongest first with ties in vault order.
 
-    No vault row is built.  Each (pair, p) maps P[p] into the vault image
+    No vault frame is built.  Each (pair, p) maps P[p] into the vault image
     in the grid's cell units, u = u_b + (cos(theta_b) P[p].x - sin(theta_b)
     P[p].y) / edge, v likewise and w = w_b + P[p].theta / width, and reads
     the run around the cell it lands in.  The (pair, p, j) triples that
     read turns up get V_b[j], with the float64 expressions of
-    GeometricTable.rows, and the exact slack.
+    GeometricTable.frames, and the exact slack.
 
     The result is exact.  V_b[j] - P[p] is R(-theta_b)(v_j - q) up to
     rounding, q being the image point, and a rotation keeps lengths; so a

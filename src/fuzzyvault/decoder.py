@@ -10,9 +10,10 @@ coefficient string whose trailing CRC-32 verifies is the secret.  Chaff
 points miss the polynomial by construction, so a verifying CRC certifies
 an all-genuine subset (up to a 2^-32 collision).
 
-Each kernel call takes a run of probe bases, 1, 2, 4, ... long and cut at
-the basis that brings it to _PAIRS_PER_CALL pairs: a first-basis unlock
-costs one small call, and a reject sweeps every pair in a few.
+The gated pairs run probe basis by probe basis, and each kernel call
+takes the next slice of them: the first as many as the mean probe basis
+has, each later one twice as many, up to _PAIRS_PER_CALL.  An early
+unlock costs a small call or two, and a reject sweeps every pair in a few.
 """
 
 from __future__ import annotations
@@ -40,7 +41,7 @@ VARIANTS = (ITERATIVE_SELECTION, RANDOM_GENERATION, RANDOM_SELECTION)
 DEFAULT_ITERATION_CAP = 2**20
 # random-generation shuffles at most this many subsets: iterative-selection's first ones.
 SUBSET_BUDGET = 1_000_000
-# A kernel call stops at the first probe basis that brings it to this many basis pairs.
+# No kernel call takes more than this many basis pairs.
 _PAIRS_PER_CALL = 256
 
 
@@ -153,11 +154,11 @@ def decode_vault(
 ) -> MatchResult:
     """Match a probe template against a vault and recover the secret if genuine.
 
-    Probe bases run in template order, vault bases in vault order, both
-    pinned for reproducibility.  Candidates within a basis pair are tried
-    strongest match first, so exhaustive strategies reach an all-genuine
-    subset quickly when the alignment is right.  The first verifying
-    subset short-circuits everything.
+    Probe bases run in select_minutiae order (best quality first), vault
+    bases in vault order, both pinned for reproducibility.  Candidates
+    within a basis pair are tried strongest match first, so exhaustive
+    strategies reach an all-genuine subset quickly when the alignment is
+    right.  The first verifying subset short-circuits everything.
 
     Raises:
         InsufficientMinutiae: the probe cannot supply genuine_count minutiae.
@@ -174,10 +175,9 @@ def decode_vault(
 
     # both angles are in [0, 360), which the tables check, so |d| needs no % 360.0
     d = np.abs(ptable.thetas[:, None] - vtable.thetas[None, :])
-    basis_ok = np.minimum(d, 360.0 - d) <= match_params.theta_basis_thres
+    # every gated pair, probe basis by probe basis
+    probe_bases, vault_bases = np.nonzero(np.minimum(d, 360.0 - d) <= match_params.theta_basis_thres)
     del d
-    probe_bases, vault_bases = np.nonzero(basis_ok)  # every gated pair, probe basis by basis
-    through = np.cumsum(np.count_nonzero(basis_ok, axis=1))  # gated pairs through each basis
     bases_tried = sets_evaluated = interpolations = 0
 
     def result(matched, secret):
@@ -190,14 +190,9 @@ def decode_vault(
             elapsed_seconds=time.perf_counter() - start,
         )
 
-    first, run = 0, 1
-    while first < len(probe_sel):
-        # up to run more probe bases, cut at the one that brings the call to _PAIRS_PER_CALL pairs
-        first = min(first + run, len(through),
-                    int(np.searchsorted(through, bases_tried + _PAIRS_PER_CALL)) + 1)
-        stop, run = int(through[first - 1]), 2 * run  # the gated pairs of every basis before first
-        if stop == bases_tried:
-            continue
+    run = min(max(len(vault_bases) // len(probe_sel), 1), _PAIRS_PER_CALL)
+    while bases_tried < len(vault_bases):
+        stop = min(bases_tried + run, len(vault_bases))
         pair, point, _ = match_margins_many(vtable, ptable, probe_bases[bases_tried:stop],
                                             vault_bases[bases_tried:stop], match_params)
         bounds = np.searchsorted(pair, np.arange(stop - bases_tried + 1))  # each pair's matches
@@ -212,5 +207,5 @@ def decode_vault(
                 if secret is not None:
                     bases_tried += int(k) + 1
                     return result(True, secret)
-        bases_tried = stop
+        bases_tried, run = stop, min(2 * run, _PAIRS_PER_CALL)
     return result(False, None)

@@ -12,8 +12,8 @@ Every request passes one boundary: a route returns (status, payload)
 or raises a typed error, and the boundary turns DocumentInvalid into
 400 (the device's request is wrong) and StorageUnavailable into 503
 (the device keeps its template or probe and retries).  A stored vault
-file that is corrupt or breaks the schema is a server fault, not a
-client one: the user's readable vaults come back with 200 and an
+file that cannot be read, is corrupt or breaks the schema is a server
+fault, not a client one: the user's readable vaults come back with 200 and an
 ``"unreadable": n`` count, and if no file is readable the answer is
 503.  A client that stops sending mid-request is dropped after
 _READ_TIMEOUT seconds instead of holding a handler thread, and one that

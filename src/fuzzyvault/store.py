@@ -39,7 +39,7 @@ class StorageUnavailable(RuntimeError):
 
 
 class UnreadableVaults(StorageUnavailable):
-    """Some of a user's stored vault files are corrupt; readable holds the others."""
+    """Some of a user's stored vault files are unreadable or corrupt; readable holds the others."""
 
     def __init__(self, message: str, readable: list[StoredDocument], unreadable: int):
         super().__init__(message)
@@ -161,8 +161,9 @@ class FileVaultStore:
     files, so a reader sees a whole document or none; no lock is held.
     Construction removes the temp files a crashed writer left behind, so
     one store object must own its root.  fetch raises UnreadableVaults,
-    carrying the readable documents, when any of the user's files is
-    corrupt or holds another user's document.
+    carrying the readable documents, when any of the user's files cannot
+    be read, is corrupt or holds another user's document; only a failure
+    to list the user's directory raises StorageUnavailable.
     """
 
     def __init__(self, root):
@@ -199,19 +200,19 @@ class FileVaultStore:
         corrupt = []
         try:
             paths = sorted(p for p in user_dir.glob("*.json") if not p.name.startswith("."))
-            for path in paths:
-                raw = path.read_bytes()
-                try:
-                    doc = document_from_dict(parse_json(raw))
-                    if doc["user_id"] != user_id:
-                        raise ValueError(f"document of user {doc['user_id']!r}")
-                    docs.append(StoredDocument(doc, raw))
-                except ValueError as exc:
-                    # bad JSON, bad encoding, a schema violation or another
-                    # user's document: the request was fine, the store is not
-                    corrupt.append(f"{path.name}: {exc}")
         except OSError as exc:
             raise StorageUnavailable(f"cannot read vaults: {exc}") from exc
+        for path in paths:
+            try:
+                raw = path.read_bytes()
+                doc = document_from_dict(parse_json(raw))
+                if doc["user_id"] != user_id:
+                    raise ValueError(f"document of user {doc['user_id']!r}")
+                docs.append(StoredDocument(doc, raw))
+            except (OSError, ValueError) as exc:
+                # a file that cannot be read, bad JSON, bad encoding, a schema violation
+                # or another user's document: the request was fine, the store is not
+                corrupt.append(f"{path.name}: {exc}")
         if corrupt:
             raise UnreadableVaults(
                 f"corrupt vault file: {'; '.join(corrupt)}", readable=docs, unreadable=len(corrupt)

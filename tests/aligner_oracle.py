@@ -4,8 +4,8 @@ The scalar rigid transform and the candidate collectors work one basis
 pair at a time; the dense kernel materializes every (basis, probe, vault)
 slack from the basis rows, so each entry is the true margin, positive or
 not, and ``dense_match_margins_many`` reads the shipped kernel's sparse
-matches off it; the eager table builds every basis row up front.  The
-shipped table and kernel must agree with them.
+matches off it; the eager table builds every basis row up front with its
+own cos/sin.  The shipped table and kernel must agree with them.
 """
 
 import math
@@ -53,16 +53,22 @@ def table_of(minutiae):
     return build_geometric_table(xyt(minutiae))
 
 
+def rows(table, bases):
+    """Row b per given basis b, every minutia in b's frame, read off the table's
+    [point, basis] frames: shape (len(bases), k, 3), the last axis x/y/theta."""
+    return np.stack([f[:, np.asarray(bases, dtype=int)].T for f in table.frames()], axis=-1)
+
+
 def table_coords(table):
     """The whole table, shape (k, k, 3)."""
-    return table.rows(np.arange(len(table)))
+    return rows(table, range(len(table)))
 
 
 def table_row(table, i):
     """Row i of a table as TransformedMinutia, one per source point."""
     return [
         TransformedMinutia(float(x), float(y), float(t), j)
-        for j, (x, y, t) in enumerate(table.rows([i])[0])
+        for j, (x, y, t) in enumerate(rows(table, [i])[0])
     ]
 
 
@@ -92,9 +98,9 @@ def dense_margins(vault_table, probe_table, probe_basis, vault_bases, params):
     Every (vault basis row, probe minutia) slack is materialized, one
     vault basis at a time so a whole probe basis fits in a few MB.
     """
-    P = probe_table.rows([probe_basis])[0]  # (kp, 3)
+    P = rows(probe_table, [probe_basis])[0]  # (kp, 3)
     out = np.empty((len(vault_bases), len(vault_table)))
-    for i, V in enumerate(vault_table.rows(vault_bases)):  # (kv, 3)
+    for i, V in enumerate(rows(vault_table, vault_bases)):  # (kv, 3)
         dx = np.abs(V[None, :, 0] - P[:, None, 0]) - params.x_thres
         dy = np.abs(V[None, :, 1] - P[:, None, 1]) - params.y_thres
         dt = np.abs(V[None, :, 2] - P[:, None, 2]) % 360.0
@@ -122,9 +128,9 @@ def dense_match_margins_many(vault_table, probe_table, probe_bases, vault_bases,
 class EagerGeometricTable(GeometricTable):
     """The geometric table as first written: every basis row built up front.
 
-    The shipped table computes rows on demand and must match this one bit
-    for bit on every row it returns.  Everything else, the absolute
-    minutiae and the kernel's grid, is the shipped table's.
+    The shipped table builds its frames on first use and must match these
+    bit for bit.  Everything else, the absolute minutiae and the kernel's
+    grid, is the shipped table's.
     """
 
     def __init__(self, points):
@@ -141,5 +147,5 @@ class EagerGeometricTable(GeometricTable):
         coords.setflags(write=False)
         self.coords = coords
 
-    def rows(self, bases):
-        return self.coords[np.asarray(bases, dtype=int)]
+    def frames(self):
+        return tuple(np.ascontiguousarray(self.coords[..., axis].T) for axis in range(3))

@@ -16,6 +16,7 @@ from aligner_oracle import (
     densify,
     match_margins,
     rigid_transform,
+    rows,
     table_coords,
     table_of,
     table_row,
@@ -325,7 +326,7 @@ def test_vault_grid_boundaries_agree_with_dense_oracle(params, span, data):
                       label="probe")
     ptab = build_geometric_table(probe)
     probe_basis = data.draw(st.integers(0, len(probe) - 1), label="probe_basis")
-    P = ptab.rows([probe_basis])[0]
+    P = rows(ptab, [probe_basis])[0]
     width = build_geometric_table(bases).grid(params).width
 
     def image_point():
@@ -359,19 +360,18 @@ def test_vault_grid_boundaries_agree_with_dense_oracle(params, span, data):
 
 @settings(max_examples=200, deadline=None)
 @given(ms=st.lists(_minutiae, min_size=1, max_size=60), data=st.data())
-def test_rows_built_on_demand_agree_with_eager_oracle(ms, data):
+def test_frames_agree_with_eager_oracle(ms, data):
     k = len(ms)
     table = table_of(ms)
-    expect = EagerGeometricTable(xyt(ms)).coords
-    calls = data.draw(st.lists(st.lists(st.integers(0, k - 1), min_size=1, max_size=2 * k),
-                               min_size=1, max_size=6), label="calls")
-    for bases in calls:  # any order, repeats within and across calls
-        got = table.rows(bases)
-        assert got.shape == (len(bases), k, 3)
-        assert np.array_equal(got, expect[bases])
-        for row, b in enumerate(bases):
-            assert np.all(got[row, b] == 0.0)  # exact zero transform on the diagonal
-    assert np.array_equal(table_coords(table), expect)
+    expect = EagerGeometricTable(xyt(ms)).coords  # [basis, point, x/y/theta]
+    frames = table.frames()
+    assert table.frames() is frames  # built once
+    for axis, frame in enumerate(frames):
+        assert frame.shape == (k, k) and frame.flags.c_contiguous  # the kernel ravels them
+        assert np.array_equal(frame, expect[..., axis].T)  # [point, basis]
+        assert np.all(np.diagonal(frame) == 0.0)  # exact zero transform on the diagonal
+    bases = data.draw(st.lists(st.integers(0, k - 1), min_size=1, max_size=2 * k), label="bases")
+    assert np.array_equal(rows(table, bases), expect[bases])  # any order, repeats
 
 
 def test_kernel_agrees_with_dense_oracle_at_the_benchmark_shape():

@@ -388,18 +388,19 @@ def test_decode_matches_decoder_oracle_without_basis_gate():
 
 
 @pytest.mark.parametrize("gate", [15.0, 360.0])
-def test_kernel_calls_cover_runs_of_whole_probe_bases(gate, monkeypatch):
-    """Each call covers consecutive probe bases, every gated pair of each,
-    in doubling runs cut at the basis that brings it to _PAIRS_PER_CALL."""
+def test_kernel_calls_take_doubling_slices_of_the_gated_pairs(gate, monkeypatch):
+    """Each call takes the next slice of the gated pairs, in probe basis
+    order: the first as many as the mean probe basis has, each later one
+    twice as many, none past _PAIRS_PER_CALL."""
     vault, secret, probes = oracle_case("fvc-1")
     params = dataclasses.replace(CONFIG1.match_params(), theta_basis_thres=gate)
-    calls = []
+    cap = decoder._PAIRS_PER_CALL
+    calls, tables = [], []
     kernel = decoder.match_margins_many
 
     def recorded(vault_table, probe_table, probe_bases, vault_bases, params):
-        d = np.abs(probe_table.thetas[:, None] - vault_table.thetas[None, :]) % 360.0
-        gated = np.minimum(d, 360.0 - d) <= params.theta_basis_thres
-        calls.append((gated, np.broadcast_to(probe_bases, np.shape(vault_bases)).copy(),
+        tables[:] = vault_table, probe_table
+        calls.append((np.broadcast_to(probe_bases, np.shape(vault_bases)).copy(),
                       np.asarray(vault_bases)))
         return kernel(vault_table, probe_table, probe_bases, vault_bases, params)
 
@@ -408,32 +409,32 @@ def test_kernel_calls_cover_runs_of_whole_probe_bases(gate, monkeypatch):
         calls.clear()
         res = decode_vault(vault, probe, params, DEFAULT_STRATEGY, random.Random(404))
         assert res.matched == (kind != "impostor")
-        swept, run = 0, 1
-        for gated, probe_bases, vault_bases in calls:
-            first, last = probe_bases[0], probe_bases[-1]
-            assert not gated[swept:first].any()  # bases skipped have no pairs
-            assert last - first < run
-            want_probe, want_vault = np.nonzero(gated[first:last + 1])
-            assert np.array_equal(probe_bases, want_probe + first)
-            assert np.array_equal(vault_bases, want_vault)
-            assert len(vault_bases) - gated[last].sum() < decoder._PAIRS_PER_CALL
-            if gate == 360.0:  # no call larger than one probe basis's
-                assert first == last
-            swept, run = last + 1, 2 * run
-        pairs = np.concatenate([probe_bases for _, probe_bases, _ in calls])
+        want = outcome(decoder_oracle.decode_vault, vault, probe, params, DEFAULT_STRATEGY)
+        assert res.bases_tried == want[0].bases_tried  # the reference loop's count
+        vtable, ptable = tables
+        d = np.abs(ptable.thetas[:, None] - vtable.thetas[None, :]) % 360.0
+        want_probe, want_vault = np.nonzero(np.minimum(d, 360.0 - d) <= gate)
+        sizes = [len(vault_bases) for _, vault_bases in calls]
+        assert max(sizes) <= cap
+        # consecutive slices, in order, each pair at most once
+        swept = sum(sizes)
+        assert np.array_equal(np.concatenate([pb for pb, _ in calls]), want_probe[:swept])
+        assert np.array_equal(np.concatenate([vb for _, vb in calls]), want_vault[:swept])
+        run = min(max(len(want_vault) // len(ptable), 1), cap)
+        for size in sizes[:-1]:
+            assert size == run
+            run = min(2 * run, cap)
+        assert sizes[-1] == min(run, len(want_vault) - (swept - sizes[-1]))
         if kind == "impostor":
-            assert len(pairs) == res.bases_tried and swept == len(calls[0][0])
+            assert swept == len(want_vault) == res.bases_tried  # every gated pair, once
             if gate == 15.0:
                 assert len(calls) <= 6
         else:
-            unlocked_at = pairs[res.bases_tried - 1]  # the probe basis that unlocked
-            assert len(pairs) >= res.bases_tried
+            assert swept - sizes[-1] < res.bases_tried <= swept  # the unlock ends the last call
             if kind == "late":
-                assert unlocked_at >= 3
+                assert want_probe[res.bases_tried - 1] >= 3  # past the spurious bases
                 if gate == 15.0:  # inside a call of several probe bases
-                    assert len(np.unique(calls[-1][1])) > 1
-            elif unlocked_at == 0:
-                assert len(calls) == 1
+                    assert len(np.unique(calls[-1][0])) > 1
 
 
 @pytest.mark.parametrize("seed", range(5))

@@ -347,6 +347,19 @@ def test_file_store_counts_a_misfiled_document_as_unreadable(tmp_path):
     assert [d["id"] for d in store.fetch("bob")] == [bobs]
 
 
+def test_file_store_counts_a_file_it_cannot_read_as_unreadable(tmp_path):
+    # reading a *.json entry can fail (EISDIR here, EACCES or EIO elsewhere): that
+    # entry is unreadable, as a corrupt file is, and the readable vault still comes back
+    root = tmp_path / "vaults"
+    store = FileVaultStore(root)
+    own = store.put(make_doc(user_id="alice"))
+    (root / "alice" / "zzzz.json").mkdir()
+    with pytest.raises(UnreadableVaults, match="zzzz.json") as info:
+        store.fetch("alice")
+    assert [d["id"] for d in info.value.readable] == [own]
+    assert info.value.unreadable == 1
+
+
 def test_file_store_unavailable_root(tmp_path):
     blocker = tmp_path / "blocker"
     blocker.write_text("")
@@ -852,6 +865,31 @@ def test_a_misfiled_vault_does_not_block_the_owners_accept(tmp_path, live):
     assert verify(probe_path, "alice", live.url, small_params(),
                   MatchParams(12, 12, 12, 15), ITERATIVE, random.Random(110))
     assert not probe_path.exists()  # alice's own vault unlocked: a decision
+
+
+def test_a_vault_entry_that_cannot_be_read_does_not_block_a_decision(tmp_path, live):
+    finger = synth_template(111, 40)
+    enroll_path = tmp_path / "enroll.xyt"
+    write_template(enroll_path, finger)
+    own, _ = enroll(enroll_path, "alice", live.url, small_params(), random.Random(112))
+    (tmp_path / "vaults" / "alice" / "zzzz.json").mkdir()  # read_bytes raises IsADirectoryError
+
+    resp = requests.get(f"{live.url}/vaults", params={"user_id": "alice"}, timeout=5)
+    assert resp.status_code == 200
+    assert [v["id"] for v in resp.json()["vaults"]] == [own]
+    assert resp.json()["unreadable"] == 1
+
+    probe_path = tmp_path / "probe.xyt"
+    write_template(probe_path, finger)
+    assert verify(probe_path, "alice", live.url, small_params(),
+                  MatchParams(12, 12, 12, 15), ITERATIVE, random.Random(113))
+    assert not probe_path.exists()  # alice's own vault unlocked: a decision
+
+    write_template(probe_path, synth_template(114, 40))
+    with pytest.raises(StorageUnavailable, match="1 are unreadable"):
+        verify(probe_path, "alice", live.url, small_params(),
+               MatchParams(12, 12, 12, 15), ITERATIVE, random.Random(115))
+    assert probe_path.exists()  # the unreadable entry might have matched
 
 
 def test_impostor_with_a_corrupt_vault_gets_no_decision(tmp_path, live):
