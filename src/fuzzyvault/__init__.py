@@ -7,6 +7,8 @@ polynomial interpolation plus a CRC check.  Includes the attack-cost
 analysis, an accuracy harness and a small enroll/verify service.
 """
 
+import types
+
 from .aligner import MatchParams
 from .decoder import (
     DEFAULT_STRATEGY,
@@ -56,42 +58,6 @@ from .vault import (
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "AccuracyReport",
-    "AttackEstimate",
-    "BUILTIN_CONFIGS",
-    "ChaffExhausted",
-    "Dataset",
-    "DEFAULT_STRATEGY",
-    "EvalConfig",
-    "Finger",
-    "InsufficientMinutiae",
-    "ITERATIVE_SELECTION",
-    "MatchParams",
-    "MatchResult",
-    "Minutia",
-    "OutOfBounds",
-    "ParseError",
-    "RANDOM_GENERATION",
-    "RANDOM_SELECTION",
-    "SecurityModel",
-    "SubsetStrategy",
-    "Template",
-    "Vault",
-    "VaultParams",
-    "VaultPoint",
-    "decode_vault",
-    "encode_vault",
-    "estimate",
-    "make_synthetic_dataset",
-    "parse_template",
-    "perturb_template",
-    "read_template",
-    "run_fvc_protocol",
-    "select_minutiae",
-    "synth_template",
-    "try_unlock",
-    "vault_from_dict",
-    "vault_to_dict",
-    "__version__",
-]
+__all__ = sorted(name for name, value in globals().items()
+                 if not name.startswith("_") and not isinstance(value, types.ModuleType))
+__all__.append("__version__")

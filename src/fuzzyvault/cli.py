@@ -25,13 +25,7 @@ from .aligner import MatchParams
 from .client import UnknownUser
 from .client import enroll as client_enroll
 from .client import verify as client_verify
-from .decoder import (
-    RANDOM_SELECTION,
-    VARIANTS,
-    SubsetStrategy,
-    decode_vault,
-    try_unlock,
-)
+from .decoder import DEFAULT_STRATEGY, VARIANTS, SubsetStrategy, decode_vault, try_unlock
 from .evaluation import (
     BUILTIN_CONFIGS,
     all_vs_all_pairs,
@@ -144,8 +138,10 @@ def encode(template_path, out_path, degree, genuine, chaff, pd, width, height, s
 @click.option("--y-thres", type=_FLOAT, default=12.0)
 @click.option("--theta-thres", type=_FLOAT, default=12.0)
 @click.option("--basis-thres", type=_FLOAT, default=15.0)
-@click.option("--strategy", "strategy_name", type=click.Choice(VARIANTS), default=RANDOM_SELECTION)
-@click.option("--cap", type=_INT, default=None, help="subset draws per candidate set")
+@click.option("--strategy", "strategy_name", type=click.Choice(VARIANTS),
+              default=DEFAULT_STRATEGY.variant)
+@click.option("--cap", type=_INT, default=DEFAULT_STRATEGY.iteration_cap,
+              help="subsets tried per candidate set")
 @click.option("--seed", type=_INT, default=None)
 @click.option("--stats", is_flag=True, help="print the match counters as JSON")
 def verify(vault_path, probe_path, x_thres, y_thres, theta_thres, basis_thres,
@@ -281,8 +277,10 @@ def enroll(user_id, template_path, server, config_name, width, height, seed):
               help="vault store URL (env: FV_SERVER)")
 @click.option("--config", "config_name", type=click.Choice(sorted(BUILTIN_CONFIGS)),
               default="fvc-1")
-@click.option("--strategy", "strategy_name", type=click.Choice(VARIANTS), default=RANDOM_SELECTION)
-@click.option("--cap", type=_INT, default=None)
+@click.option("--strategy", "strategy_name", type=click.Choice(VARIANTS),
+              default=DEFAULT_STRATEGY.variant)
+@click.option("--cap", type=_INT, default=DEFAULT_STRATEGY.iteration_cap,
+              help="subsets tried per candidate set")
 @click.option("--width", type=_INT, default=400)
 @click.option("--height", type=_INT, default=560)
 @click.option("--seed", type=_INT, default=None)

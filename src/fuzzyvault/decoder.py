@@ -10,6 +10,11 @@ coefficient string whose trailing CRC-32 verifies is the secret.  Chaff
 points miss the polynomial by construction, so a verifying CRC certifies
 an all-genuine subset (up to a 2^-32 collision).
 
+A pool of fewer than 2 * degree candidates (16 at n = 8) is usually a
+partial alignment that cannot unlock, so it waits: pools at least that
+large are tried as the sweep meets them, and the waiting ones only after
+the sweep over every gated pair ends, largest first, ties in pair order.
+
 The gated pairs run probe basis by probe basis, and each kernel call
 takes the next slice of them: the first as many as the mean probe basis
 has, each later one twice as many, up to _PAIRS_PER_CALL.  An early
@@ -37,7 +42,7 @@ RANDOM_GENERATION = "random-generation"
 RANDOM_SELECTION = "random-selection"
 VARIANTS = (ITERATIVE_SELECTION, RANDOM_GENERATION, RANDOM_SELECTION)
 
-# Per basis pair, random-selection stops after this many draws unless told otherwise.
+# Per basis pair, random-selection and the default strategy stop after this many subsets.
 DEFAULT_ITERATION_CAP = 2**20
 # random-generation shuffles at most this many subsets: iterative-selection's first ones.
 SUBSET_BUDGET = 1_000_000
@@ -73,7 +78,7 @@ class SubsetStrategy:
             raise ValueError("iteration_cap must be positive")
 
 
-DEFAULT_STRATEGY = SubsetStrategy(RANDOM_SELECTION)
+DEFAULT_STRATEGY = SubsetStrategy(ITERATIVE_SELECTION, DEFAULT_ITERATION_CAP)
 
 
 @dataclass(frozen=True)
@@ -158,7 +163,10 @@ def decode_vault(
     bases in vault order, both pinned for reproducibility.  Candidates
     within a basis pair are tried strongest match first, so exhaustive
     strategies reach an all-genuine subset quickly when the alignment is
-    right.  The first verifying subset short-circuits everything.
+    right.  Pools under 2 * degree candidates wait until every gated pair
+    is swept (see the module docstring); an unlock from one of them
+    reports every gated pair in bases_tried.  The first verifying subset
+    short-circuits everything.
 
     Raises:
         InsufficientMinutiae: the probe cannot supply genuine_count minutiae.
@@ -190,6 +198,16 @@ def decode_vault(
             elapsed_seconds=time.perf_counter() - start,
         )
 
+    def unlock(pool):
+        nonlocal sets_evaluated, interpolations
+        sets_evaluated += 1
+        for subset in generate_subsets(pool, size, strategy, rng):
+            interpolations += 1
+            if (secret := try_unlock(subset, degree)) is not None:
+                return secret
+        return None
+
+    deferred = []  # small pools, in pair order
     run = min(max(len(vault_bases) // len(probe_sel), 1), _PAIRS_PER_CALL)
     while bases_tried < len(vault_bases):
         stop = min(bases_tried + run, len(vault_bases))
@@ -198,14 +216,15 @@ def decode_vault(
         bounds = np.searchsorted(pair, np.arange(stop - bases_tried + 1))  # each pair's matches
         # only pairs with at least degree+1 candidates can unlock
         for k in np.flatnonzero(np.diff(bounds) >= size):
-            sets_evaluated += 1
             # Strongest matches first; ties keep vault order.
             pool = [vault.points[int(j)] for j in point[bounds[k]:bounds[k + 1]]]
-            for subset in generate_subsets(pool, size, strategy, rng):
-                interpolations += 1
-                secret = try_unlock(subset, degree)
-                if secret is not None:
-                    bases_tried += int(k) + 1
-                    return result(True, secret)
+            if len(pool) < 2 * degree:  # a small pool waits
+                deferred.append(pool)
+            elif (secret := unlock(pool)) is not None:
+                bases_tried += int(k) + 1
+                return result(True, secret)
         bases_tried, run = stop, min(2 * run, _PAIRS_PER_CALL)
+    for pool in sorted(deferred, key=len, reverse=True):  # a stable sort: ties keep pair order
+        if (secret := unlock(pool)) is not None:
+            return result(True, secret)
     return result(False, None)

@@ -19,6 +19,7 @@ from __future__ import annotations
 import csv
 import math
 import random
+import statistics
 import time
 from dataclasses import dataclass, asdict
 from pathlib import Path
@@ -70,6 +71,9 @@ class AccuracyReport:
     mean_encode_seconds: float
     mean_decode_seconds: float
     mean_total_seconds: float
+    p50_decode_seconds: float  # the tail of the decodes, which the means hide
+    p90_decode_seconds: float
+    max_interpolations: int  # in one decode
 
 
 @dataclass(frozen=True)
@@ -274,6 +278,7 @@ def run_fvc_protocol(
     wrong = [0, 0]  # [false rejects, false accepts]
     encode_times: list[float] = []
     decode_times: list[float] = []
+    max_interpolations = 0
     batches = () if dry_run else ((False, genuine_pairs), (True, impostor_pairs))
     for impostor, batch in batches:
         for (f1, c1), (f2, c2) in batch:
@@ -290,11 +295,14 @@ def run_fvc_protocol(
                 continue
             encode_times.append(t1 - t0)
             decode_times.append(t2 - t1)
+            max_interpolations = max(max_interpolations, result.interpolations_performed)
             wrong[impostor] += result.matched == impostor
 
     genuine_done = len(genuine_pairs) - skipped[False]
     impostor_done = len(impostor_pairs) - skipped[True]
     total = [e + d for e, d in zip(encode_times, decode_times)]
+    deciles = (statistics.quantiles(decode_times, n=10, method="inclusive")
+               if len(decode_times) > 1 else (decode_times or [0.0]) * 9)
     return AccuracyReport(
         fmr=wrong[True] / impostor_done if impostor_done else 0.0,
         fnmr=wrong[False] / genuine_done if genuine_done else 0.0,
@@ -305,6 +313,9 @@ def run_fvc_protocol(
         mean_encode_seconds=sum(encode_times) / len(encode_times) if encode_times else 0.0,
         mean_decode_seconds=sum(decode_times) / len(decode_times) if decode_times else 0.0,
         mean_total_seconds=sum(total) / len(total) if total else 0.0,
+        p50_decode_seconds=deciles[4],
+        p90_decode_seconds=deciles[8],
+        max_interpolations=max_interpolations,
     )
 
 

@@ -10,10 +10,13 @@ from click.testing import CliRunner
 
 from fuzzyvault import cli, decoder
 from fuzzyvault.cli import main
+from fuzzyvault.aligner import MatchParams
 from fuzzyvault.decoder import try_unlock
 from fuzzyvault.evaluation import perturb_template, synth_template
+from fuzzyvault.minutiae import read_template
 from fuzzyvault.service import VaultStoreService
 from fuzzyvault.store import FileVaultStore
+from fuzzyvault.vault import vault_from_dict
 
 
 @pytest.fixture
@@ -94,6 +97,33 @@ def test_encode_verify_round_trip(runner, tmp_path):
     assert stats["matched"] is True
     assert stats["secret"] == secret_hex
     assert stats["interpolations_performed"] >= 1
+
+
+def test_verify_defaults_to_the_library_strategy(runner, tmp_path):
+    # no --strategy and no --cap: DEFAULT_STRATEGY itself, variant and cap
+    t = synth_template(903, 60)
+    template_path, vault_path, probe_path = tmp_path / "f.xyt", tmp_path / "v.json", tmp_path / "p.xyt"
+    write_template(template_path, t)
+    runner.invoke(main, ["encode", "--template", str(template_path), "--out", str(vault_path),
+                         "--seed", "5"])
+    probe = perturb_template(t, rotation=5.0, jitter=3.0, drop_fraction=0.1, rng=random.Random(6))
+    write_template(probe_path, probe)
+    result = runner.invoke(main, ["verify", "--vault", str(vault_path), "--probe", str(probe_path),
+                                  "--seed", "7", "--stats"])
+    assert result.exit_code == 0, result.stderr
+    vault = vault_from_dict(json.loads(vault_path.read_text()))
+    want = decoder.decode_vault(vault, read_template(probe_path, 400, 560),
+                                MatchParams(12.0, 12.0, 12.0, 15.0), decoder.DEFAULT_STRATEGY,
+                                random.Random(7))
+    got = json.loads(result.stdout)
+    assert got["secret"] == want.secret.hex()
+    assert [got[key] for key in ("bases_tried", "candidate_sets_evaluated",
+                                 "interpolations_performed")] == [
+        want.bases_tried, want.candidate_sets_evaluated, want.interpolations_performed]
+    for command in ("verify", "auth"):
+        help_text = runner.invoke(main, [command, "--help"]).output
+        assert decoder.DEFAULT_STRATEGY.variant in help_text
+        assert str(decoder.DEFAULT_STRATEGY.iteration_cap) in help_text
 
 
 def test_verify_non_match_exits_one(runner, tmp_path):

@@ -109,7 +109,8 @@ def test_random_selection_draw_count_and_cap():
 
 def test_random_selection_is_capped_by_default(monkeypatch):
     assert SubsetStrategy(RANDOM_SELECTION).iteration_cap == decoder.DEFAULT_ITERATION_CAP
-    assert DEFAULT_STRATEGY == SubsetStrategy(RANDOM_SELECTION)
+    # the default is colex order, capped as random-selection is
+    assert DEFAULT_STRATEGY == SubsetStrategy(ITERATIVE_SELECTION, decoder.DEFAULT_ITERATION_CAP)
     assert SubsetStrategy(ITERATIVE_SELECTION).iteration_cap is None  # exhaustive ones stay whole
     assert SubsetStrategy(RANDOM_GENERATION).iteration_cap is None
     monkeypatch.setattr(decoder, "DEFAULT_ITERATION_CAP", 7)
@@ -290,7 +291,7 @@ def test_decode_respects_iteration_cap():
 
 # (bases_tried, candidate_sets_evaluated, interpolations_performed) of the
 # genuine and the impostor probe, as the decoder counted them row by row
-_PINNED_COUNTERS = {"fvc-1": ((27, 1, 3), (867, 0, 0)), "fvc-4": ((4, 1, 1), (561, 0, 0))}
+_PINNED_COUNTERS = {"fvc-1": ((27, 1, 1), (867, 0, 0)), "fvc-4": ((4, 1, 1), (561, 0, 0))}
 
 
 @pytest.mark.parametrize("name", ["fvc-1", "fvc-4"])
@@ -361,10 +362,13 @@ def outcome(decode, vault, probe, params, strategy):
 
 
 @pytest.mark.parametrize("strategy", [ITERATIVE, SubsetStrategy(RANDOM_GENERATION),
-                                      DEFAULT_STRATEGY], ids=lambda s: s.variant)
+                                      SubsetStrategy(RANDOM_SELECTION), DEFAULT_STRATEGY],
+                         ids=["iterative-selection", "random-generation", "random-selection",
+                              "default"])
 @pytest.mark.parametrize("name", ["fvc-1", "fvc-4", "fvc-6"])
 def test_decode_matches_decoder_oracle(name, strategy):
-    """Batched kernel calls give the reference loop's counters, secret and rng state."""
+    """Batched kernel calls and deferred pools give the reference loop's
+    counters, secret and rng state."""
     vault, secret, probes = oracle_case(name)
     params = BUILTIN_CONFIGS[name].match_params()
     for kind, probe in probes.items():
@@ -479,3 +483,44 @@ def test_basis_gate_agrees_with_the_modulo_form(gate, monkeypatch):
     res = decode_vault(vault, probe, params, DEFAULT_STRATEGY, random.Random(405))
     assert not res.matched and res.bases_tried == len(calls)
     assert calls == [(int(p), int(v)) for p, v in want] and len(calls) > 30
+
+
+@pytest.mark.parametrize("strategy", [SubsetStrategy(ITERATIVE_SELECTION, 256), DEFAULT_STRATEGY],
+                         ids=["cap-256", "default"])
+@pytest.mark.parametrize("name", ["fvc-1", "fvc-4", "fvc-5", "fvc-6"])
+def test_deferring_small_pools_keeps_the_pair_order_decisions(name, strategy):
+    """A colex pool's subsets do not depend on when it is tried, so the
+    decision and the secret are the pair-order loop's."""
+    vault, _, probes = oracle_case(name)
+    params = BUILTIN_CONFIGS[name].match_params()
+    for kind, probe in probes.items():
+        res = decode_vault(vault, probe, params, strategy, random.Random(404))
+        old = decoder_oracle.decode_vault(vault, probe, params, strategy, random.Random(404),
+                                          defer=False)
+        assert (res.matched, res.secret) == (old.matched, old.secret), kind
+
+
+def test_no_small_pool_is_tried_before_the_big_pool_unlocks(monkeypatch):
+    """On the late fvc-4 probe the pair-order loop first meets a pool of 15
+    candidates; the decoder leaves it waiting and unlocks from a pool of at
+    least 2 * degree, inside the sweep."""
+    vault, secret, probes = oracle_case("fvc-4")
+    params = BUILTIN_CONFIGS["fvc-4"].match_params()
+    degree = vault.params.degree
+    tried = {}
+    for module in (decoder, decoder_oracle):
+        pools = tried.setdefault(module, [])
+
+        def recorded(pool, *args, _stream=module.generate_subsets, _pools=pools):
+            _pools.append(len(pool))
+            return _stream(pool, *args)
+
+        monkeypatch.setattr(module, "generate_subsets", recorded)
+    res = decode_vault(vault, probes["late"], params, DEFAULT_STRATEGY, random.Random(404))
+    old = decoder_oracle.decode_vault(vault, probes["late"], params, DEFAULT_STRATEGY,
+                                      random.Random(404), defer=False)
+    assert res.matched and res.secret == old.secret == secret
+    assert old.bases_tried < res.bases_tried  # the unlock came later in pair order ...
+    assert tried[decoder_oracle][0] < 2 * degree  # ... behind a small pool
+    assert all(size >= 2 * degree for size in tried[decoder])  # which waited
+    assert res.candidate_sets_evaluated == len(tried[decoder])

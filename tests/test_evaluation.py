@@ -3,11 +3,14 @@
 import csv
 import math
 import random
+import statistics
 from dataclasses import asdict
+from types import SimpleNamespace
 
 import pytest
 
-from fuzzyvault.decoder import ITERATIVE_SELECTION, SubsetStrategy
+from fuzzyvault import evaluation
+from fuzzyvault.decoder import ITERATIVE_SELECTION, SubsetStrategy, decode_vault
 from fuzzyvault.evaluation import (
     BUILTIN_CONFIGS,
     Dataset,
@@ -178,6 +181,34 @@ def test_small_fvc_run_separates():
     assert report.genuine_comparisons == 3 and report.impostor_comparisons == 3
     assert report.mean_encode_seconds > 0
     assert report.mean_decode_seconds > 0
+
+
+def test_report_tail_against_statistics(monkeypatch):
+    # a fake clock makes the runner's decode times known; a wrapper sees each decode's counters
+    clock, interpolations = iter(range(10**6)), []
+    ticks = []
+
+    def perf_counter():
+        ticks.append(next(clock) ** 2 / 1000.0)
+        return ticks[-1]
+
+    def counted(*args):
+        result = decode_vault(*args)
+        interpolations.append(result.interpolations_performed)
+        return result
+
+    monkeypatch.setattr(evaluation, "time", SimpleNamespace(perf_counter=perf_counter))
+    monkeypatch.setattr(evaluation, "decode_vault", counted)
+    report = run_small(BUILTIN_CONFIGS["fvc-1"], seed=14)
+    assert report.genuine_failures == report.impostor_failures == 0
+    decode_times = [t2 - t1 for t1, t2 in zip(ticks[1::3], ticks[2::3])]
+    assert len(decode_times) == len(interpolations) == 6
+    assert report.p50_decode_seconds == statistics.median(decode_times)
+    assert report.p90_decode_seconds == statistics.quantiles(decode_times, n=10,
+                                                             method="inclusive")[8]
+    assert report.max_interpolations == max(interpolations) > 0
+    assert list(asdict(report))[-3:] == ["p50_decode_seconds", "p90_decode_seconds",
+                                         "max_interpolations"]  # appended after the old fields
 
 
 def test_report_determinism():
