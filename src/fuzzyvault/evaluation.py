@@ -74,6 +74,8 @@ class AccuracyReport:
     p50_decode_seconds: float  # the tail of the decodes, which the means hide
     p90_decode_seconds: float
     max_interpolations: int  # in one decode
+    fmr_upper95: float  # exact one-sided 95% upper bounds (Clopper-Pearson); 1.0 with no trials
+    fnmr_upper95: float
 
 
 @dataclass(frozen=True)
@@ -276,6 +278,7 @@ def run_fvc_protocol(
     genuine_pairs, impostor_pairs = pairs(dataset)
     skipped = [0, 0]  # [genuine, impostor] pairs whose encode or selection failed
     wrong = [0, 0]  # [false rejects, false accepts]
+    decoded = [0, 0]  # [genuine, impostor] pairs decoded
     encode_times: list[float] = []
     decode_times: list[float] = []
     max_interpolations = 0
@@ -297,6 +300,7 @@ def run_fvc_protocol(
             decode_times.append(t2 - t1)
             max_interpolations = max(max_interpolations, result.interpolations_performed)
             wrong[impostor] += result.matched == impostor
+            decoded[impostor] += 1
 
     genuine_done = len(genuine_pairs) - skipped[False]
     impostor_done = len(impostor_pairs) - skipped[True]
@@ -316,7 +320,31 @@ def run_fvc_protocol(
         p50_decode_seconds=deciles[4],
         p90_decode_seconds=deciles[8],
         max_interpolations=max_interpolations,
+        fmr_upper95=_upper95(wrong[True], decoded[True]),
+        fnmr_upper95=_upper95(wrong[False], decoded[False]),
     )
+
+
+def _upper95(errors: int, trials: int) -> float:
+    """Exact one-sided 95% upper bound on an error rate seen as errors in trials.
+
+    Clopper & Pearson (Biometrika 1934): the rate p at which errors or fewer
+    in trials has probability 0.05, found by bisection on the binomial sum
+    (1 - 0.05^(1/trials) for no errors).  1.0 when every trial erred or none ran.
+    """
+    if errors >= trials:
+        return 1.0
+    log_combs = [math.log(math.comb(trials, i)) for i in range(errors + 1)]
+
+    def at_most(p: float) -> float:  # P(X <= errors), X ~ Binomial(trials, p)
+        lp, lq = math.log(p), math.log1p(-p)
+        return math.fsum(math.exp(c + i * lp + (trials - i) * lq) for i, c in enumerate(log_combs))
+
+    lo, hi = 0.0, 1.0
+    for _ in range(64):  # the tail falls as p rises
+        mid = (lo + hi) / 2
+        lo, hi = (mid, hi) if at_most(mid) > 0.05 else (lo, mid)
+    return hi
 
 
 def write_report_csv(report: AccuracyReport, path):

@@ -7,8 +7,8 @@ first one that passes Rabin's irreducibility test, so the tests can
 re-derive the constant and check the test itself against trial division.
 gf_mul is the shift-and-xor multiply the bit-sliced one in gf32 must agree
 with, gf_inv the inverse gf32's extended Euclidean one must agree with, and
-lagrange_interpolate, built on both, the interpolator the power-sum one in
-gf32 must agree with bit for bit.  None of them calls gf32's arithmetic.
+lagrange_interpolate, built on both, the interpolator the prefix-product one
+in gf32 must agree with bit for bit.  None of them calls gf32's arithmetic.
 """
 
 from fuzzyvault.gf32 import REDUCTION_POLYNOMIAL, ArityMismatch, DuplicateAbscissa

@@ -207,8 +207,36 @@ def test_report_tail_against_statistics(monkeypatch):
     assert report.p90_decode_seconds == statistics.quantiles(decode_times, n=10,
                                                              method="inclusive")[8]
     assert report.max_interpolations == max(interpolations) > 0
-    assert list(asdict(report))[-3:] == ["p50_decode_seconds", "p90_decode_seconds",
-                                         "max_interpolations"]  # appended after the old fields
+    assert list(asdict(report))[-5:] == ["p50_decode_seconds", "p90_decode_seconds",
+                                         "max_interpolations", "fmr_upper95",
+                                         "fnmr_upper95"]  # appended after the old fields
+    # 3 genuine and 3 impostor decodes, none wrong
+    assert report.fmr_upper95 == report.fnmr_upper95 == evaluation._upper95(0, 3)
+
+
+def binomial_tail_oracle(errors, trials, p):
+    """P(X <= errors) for X ~ Binomial(trials, p), term by term with exact binomial coefficients."""
+    return sum(math.comb(trials, i) * p ** i * (1 - p) ** (trials - i) for i in range(errors + 1))
+
+
+@pytest.mark.parametrize("trials", [10, 1000])
+@pytest.mark.parametrize("errors", [0, 1, 5])
+def test_upper95_matches_binomial_oracle(errors, trials):
+    bound = evaluation._upper95(errors, trials)
+    # the exact bound is where the oracle's tail crosses 0.05
+    assert binomial_tail_oracle(errors, trials, bound) == pytest.approx(0.05, rel=1e-9)
+    assert binomial_tail_oracle(errors, trials, bound * (1 - 1e-6)) > 0.05
+    assert binomial_tail_oracle(errors, trials, bound * (1 + 1e-6)) < 0.05
+    if errors == 0:
+        assert bound == pytest.approx(1 - 0.05 ** (1 / trials), rel=1e-12)
+
+
+def test_upper95_edges():
+    # criterion 06's 0 false accepts in 1,000 impostor decodes show only FMR <= 3.0e-3
+    assert evaluation._upper95(0, 1000) <= 3.0e-3
+    assert evaluation._upper95(0, 0) == evaluation._upper95(4, 4) == 1.0
+    report = run_fvc_protocol(shape_dataset(4, 3), None, None, dry_run=True)
+    assert (report.fmr, report.fmr_upper95, report.fnmr_upper95) == (0.0, 1.0, 1.0)  # nothing decoded
 
 
 def test_report_determinism():

@@ -245,6 +245,14 @@ def _raised(fn, points, degree):
     return type(info.value), str(info.value)
 
 
+def test_interpolate_degree_minus_one_matches_scalar_oracle():
+    # no points: the zero polynomial with no coefficients; one point is one too many
+    assert gf32.lagrange_interpolate([], -1) == scalar_interpolate([], -1) == []
+    got = _raised(gf32.lagrange_interpolate, [(1, 2)], -1)
+    assert got[0] is gf32.ArityMismatch
+    assert got == _raised(scalar_interpolate, [(1, 2)], -1)
+
+
 @settings(max_examples=100, deadline=None)
 @given(case=_point_sets(), extra=st.sampled_from([-1, 1]), dup=st.data())
 def test_interpolate_errors_match_scalar_oracle(case, extra, dup):
